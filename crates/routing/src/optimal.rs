@@ -19,6 +19,7 @@
 //! overhead and route integrally.
 
 use wmsn_topology::Topology;
+use wmsn_util::geom::Adjacency;
 
 /// Dinic max-flow over `f64` capacities.
 struct Dinic {
@@ -99,7 +100,7 @@ impl Dinic {
 /// Whether `rounds` rounds are feasible for the given energy parameters.
 fn feasible(
     topo: &Topology,
-    adj: &[Vec<usize>],
+    adj: &Adjacency,
     battery_j: f64,
     e_t: f64,
     e_r: f64,
@@ -127,7 +128,7 @@ fn feasible(
         dinic.add_edge(0, v_in(i), g);
         let cap = (battery_j + e_r * g) / (e_t + e_r);
         dinic.add_edge(v_in(i), v_out(i), cap);
-        for &nb in &adj[i] {
+        for nb in adj.neighbors(i) {
             if nb < ns {
                 dinic.add_edge(v_out(i), v_in(nb), inf);
             } else {

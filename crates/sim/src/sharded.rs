@@ -70,7 +70,7 @@ use crate::world::{RemoteEvent, World};
 use std::sync::Mutex;
 use wmsn_trace::capture::{CaptureConfig, CaptureSink, CaptureStats};
 use wmsn_trace::ring::{merge_keyed_events, FrameBufferSink, RingConfig, RingSink, RingStats};
-use wmsn_trace::{KeyedBufferSink, TraceEvent};
+use wmsn_trace::{merge_in_execution_order, KeyedBufferSink, TraceEvent};
 use wmsn_util::pool::bsp_run;
 use wmsn_util::{NodeId, NodeRole, Point};
 
@@ -696,9 +696,9 @@ impl ShardedWorld {
             node_tx: vec![0; n],
             ..Metrics::default()
         };
-        // (delivered_at, key, capture index) totally orders deliveries
-        // across shards for the same reason it orders trace lines.
-        let mut all: Vec<(SimTime, u64, usize, crate::metrics::Delivery)> = Vec::new();
+        // Deliveries interleave in execution order by `(delivered_at,
+        // key)`, for the same reason trace lines do.
+        let mut ledgers = Vec::with_capacity(self.shards.len());
         for cell in &self.shards {
             let m = cell.0.metrics();
             out.sent_control += m.sent_control;
@@ -731,14 +731,19 @@ impl ShardedWorld {
                 }
                 _ => {}
             }
-            for (i, (d, &key)) in m.deliveries.iter().zip(&m.delivery_keys).enumerate() {
-                all.push((d.delivered_at, key, i, d.clone()));
-            }
+            ledgers.push(
+                m.deliveries
+                    .iter()
+                    .cloned()
+                    .zip(m.delivery_keys.iter().copied())
+                    .collect::<Vec<_>>(),
+            );
         }
-        all.sort_by_key(|a| (a.0, a.1, a.2));
-        for (_, key, _, d) in all {
-            out.record_delivery_keyed(d, key);
-        }
+        merge_in_execution_order(
+            ledgers,
+            |(d, key)| (d.delivered_at, *key),
+            |(d, key)| out.record_delivery_keyed(d, key),
+        );
         out.snapshots = self.snapshots.clone();
         out
     }

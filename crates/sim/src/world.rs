@@ -16,7 +16,7 @@ use crate::time::SimTime;
 use std::collections::HashMap;
 use std::rc::Rc;
 use wmsn_trace::{DropCause, TraceEvent, TraceKind, TraceSink, TraceTier};
-use wmsn_util::geom::unit_disk_adjacency;
+use wmsn_util::geom::{linked, Adjacency, CellIndex};
 use wmsn_util::{NodeId, NodeRole, Point, SplitMix64};
 
 /// Trace-model tier for a PHY tier.
@@ -129,11 +129,13 @@ pub struct WorldCore {
     /// sender instead of every transmission in the field.
     active_tx: [TxBuckets; 2],
     /// Cached adjacency per tier; built lazily in bulk, updated
-    /// incrementally when a node moves.
-    adjacency: [Option<AdjacencyCache>; 2],
+    /// incrementally when a node moves. Boxed: every transmit takes the
+    /// cache out of its slot and puts it back, which moves one pointer
+    /// rather than the whole struct.
+    adjacency: [Option<Box<AdjacencyCache>>; 2],
     collisions: [CollisionTracker; 2],
     /// Reusable slot buffer for `transmit_ranged` receiver collection.
-    ranged_scratch: Vec<usize>,
+    ranged_scratch: Vec<u32>,
     /// Reusable frame-assembly buffer lent to behaviours via
     /// [`Ctx::take_scratch`](crate::node::Ctx::take_scratch) — in-place
     /// flood forwarding builds the outgoing frame here before freezing
@@ -146,32 +148,78 @@ pub struct WorldCore {
     pub(crate) trace: Option<Box<dyn TraceSink>>,
 }
 
+/// "No slot": the id→slot entry of a node outside the tier, and the
+/// edit entry of a row still in the bulk build.
+const NIL: u32 = u32::MAX;
+
+/// One tier's unit-disk graph, in member slots. Slots ascend with node
+/// id, so sorted rows give the deterministic id-order delivery schedule.
 struct AdjacencyCache {
     /// Node ids participating in this tier (alive or dead — liveness is
-    /// checked at use time).
+    /// checked at use time), by slot.
     members: Vec<NodeId>,
-    /// For each member (by position in `members`), indices into `members`,
-    /// sorted ascending (delivery order is part of determinism).
-    adj: Vec<Vec<usize>>,
-    /// node id -> member slot.
-    slot: Vec<Option<usize>>,
-    /// Member slots bucketed by grid cell (side = radio range), anchored
-    /// at `origin`. Everything within range of a point lies in the 3×3
-    /// cell block around it; the buckets are kept current across moves.
-    buckets: HashMap<(i64, i64), Vec<usize>>,
-    /// Grid anchor (min corner of the positions at build time; moves may
-    /// go outside — cell coordinates just go negative).
-    origin: Point,
-    /// Grid cell side, equal to the tier's radio range.
-    cell: f64,
+    /// Node id -> member slot, `NIL` outside the tier.
+    slot: Vec<u32>,
+    /// Members bucketed by their cell at build time. Its grid is the one
+    /// cell function of this cache: bulk build, moves and ranged
+    /// transmissions all use it.
+    cells: CellIndex,
+    /// Bulk-built rows (CSR, ascending). Under [`ShardState`] only the
+    /// rows of members this shard owns are filled; the others are empty,
+    /// because only owned nodes ever transmit here.
+    rows: Adjacency,
+    /// Slot -> index into `edits` for rows a move rewrote, else `NIL`.
+    edited: Vec<u32>,
+    /// Rows rewritten by moves; they shadow their `rows` entries.
+    edits: Vec<Vec<u32>>,
+    /// Slot -> whether the member has left its bucket in `cells`; such
+    /// members are found through `strays` instead.
+    moved: Vec<bool>,
+    /// Moved members, bucketed by their current cell.
+    strays: HashMap<(i64, i64), Vec<u32>>,
 }
 
 impl AdjacencyCache {
-    fn cell_of(&self, p: Point) -> (i64, i64) {
-        (
-            ((p.x - self.origin.x) / self.cell).floor() as i64,
-            ((p.y - self.origin.y) / self.cell).floor() as i64,
-        )
+    #[inline]
+    fn slot_of(&self, id: NodeId) -> Option<u32> {
+        self.slot.get(id.index()).copied().filter(|&s| s != NIL)
+    }
+
+    /// The neighbour slots of member `s`, ascending.
+    #[inline]
+    fn row(&self, s: u32) -> &[u32] {
+        match self.edited[s as usize] {
+            NIL => self.rows.row(s as usize),
+            e => &self.edits[e as usize],
+        }
+    }
+
+    /// Member `s`'s row, copied out of the bulk build on first write.
+    fn row_mut(&mut self, s: u32) -> &mut Vec<u32> {
+        if self.edited[s as usize] == NIL {
+            self.edited[s as usize] = self.edits.len() as u32;
+            self.edits.push(self.rows.row(s as usize).to_vec());
+        }
+        &mut self.edits[self.edited[s as usize] as usize]
+    }
+
+    /// Every member whose current cell lies within `k` cells of `p`'s.
+    fn near(&self, p: Point, k: i64, out: &mut Vec<u32>) {
+        let (cx, cy) = self.cells.grid().cell_of(p);
+        for dx in -k..=k {
+            for dy in -k..=k {
+                let c = (cx + dx, cy + dy);
+                out.extend(
+                    self.cells
+                        .cell(c)
+                        .iter()
+                        .filter(|&&t| !self.moved[t as usize]),
+                );
+                if let Some(b) = self.strays.get(&c) {
+                    out.extend_from_slice(b);
+                }
+            }
+        }
     }
 }
 
@@ -291,6 +339,15 @@ impl WorldCore {
         self.adjacency = [None, None];
     }
 
+    /// Whether this world transmits for `id`: always on the reference
+    /// kernel, only for owned nodes on a shard.
+    #[inline]
+    fn owns(&self, id: NodeId) -> bool {
+        self.shard
+            .as_ref()
+            .is_none_or(|sh| sh.owner[id.index()] == sh.me)
+    }
+
     fn ensure_adjacency(&mut self, tier: Tier) {
         let ti = tier_index(tier);
         if self.adjacency[ti].is_some() {
@@ -309,92 +366,88 @@ impl WorldCore {
             .iter()
             .map(|id| self.nodes[id.index()].pos)
             .collect();
-        let range = self.phy(tier).range_m;
-        let adj = unit_disk_adjacency(&positions, range);
-        let mut slot = vec![None; self.nodes.len()];
+        let cells = CellIndex::build(&positions, self.phy(tier).range_m);
+        let rows = cells.adjacency(&positions, |s| self.owns(members[s]));
+        let mut slot = vec![NIL; self.nodes.len()];
         for (s, id) in members.iter().enumerate() {
-            slot[id.index()] = Some(s);
+            slot[id.index()] = s as u32;
         }
-        let origin = Point::new(
-            positions.iter().map(|p| p.x).fold(0.0, f64::min),
-            positions.iter().map(|p| p.y).fold(0.0, f64::min),
-        );
-        let mut cache = AdjacencyCache {
+        let n = members.len();
+        self.adjacency[ti] = Some(Box::new(AdjacencyCache {
             members,
-            adj,
             slot,
-            buckets: HashMap::new(),
-            origin,
-            cell: if range > 0.0 { range } else { 1.0 },
-        };
-        for (s, p) in positions.iter().enumerate() {
-            let key = cache.cell_of(*p);
-            cache.buckets.entry(key).or_default().push(s);
-        }
-        self.adjacency[ti] = Some(cache);
+            cells,
+            rows,
+            edited: vec![NIL; n],
+            edits: Vec::new(),
+            moved: vec![false; n],
+            strays: HashMap::new(),
+        }));
     }
 
     /// Incrementally repair a tier's adjacency cache after one node moved:
-    /// only the moved node's row, the rows that referenced it, and its
+    /// only the moved node's row, the rows that gain or lose it, and its
     /// grid bucket change — everything else is untouched. Rebuilding from
-    /// scratch costs O(members) allocations per move; gateway mobility
-    /// moves one node per round.
+    /// scratch costs O(members) per move; gateway mobility moves one node
+    /// per round.
+    ///
+    /// The affected rows are found from the grid blocks around the old
+    /// and new positions, not from the moved node's own row: on a shard
+    /// that row may be absent (another shard owns the node) while the
+    /// rows of its owned neighbours still have to change. Every test uses
+    /// the bulk build's predicate, so the cache stays equal to a rebuild.
     fn update_adjacency_for_move(&mut self, ti: usize, id: NodeId, old_pos: Point) {
-        let Some(cache) = self.adjacency[ti].as_mut() else {
+        let Some(mut cache) = self.adjacency[ti].take() else {
             return;
         };
-        let Some(s) = cache.slot.get(id.index()).copied().flatten() else {
-            return;
-        };
-        let new_pos = self.nodes[id.index()].pos;
-        let old_cell = cache.cell_of(old_pos);
-        let new_cell = cache.cell_of(new_pos);
-        if old_cell != new_cell {
-            if let Some(b) = cache.buckets.get_mut(&old_cell) {
-                if let Some(i) = b.iter().position(|&x| x == s) {
+        if let Some(s) = cache.slot_of(id) {
+            let new_pos = self.nodes[id.index()].pos;
+            let range = cache.cells.range();
+            let grid = cache.cells.grid();
+            let (old_cell, new_cell) = (grid.cell_of(old_pos), grid.cell_of(new_pos));
+            if old_cell != new_cell {
+                if cache.moved[s as usize] {
+                    let b = cache.strays.get_mut(&old_cell).expect("stray bucket");
+                    let i = b.iter().position(|&x| x == s).expect("stray member");
                     b.swap_remove(i);
+                    if b.is_empty() {
+                        cache.strays.remove(&old_cell);
+                    }
                 }
-                if b.is_empty() {
-                    cache.buckets.remove(&old_cell);
+                cache.moved[s as usize] = true;
+                cache.strays.entry(new_cell).or_default().push(s);
+            }
+            let mut near = Vec::new();
+            cache.near(old_pos, 1, &mut near);
+            for &t in &near {
+                if let Ok(i) = cache.row(t).binary_search(&s) {
+                    cache.row_mut(t).remove(i);
                 }
             }
-            cache.buckets.entry(new_cell).or_default().push(s);
-        }
-        // Drop the old edges from both endpoints (rows stay sorted).
-        let old_row = std::mem::take(&mut cache.adj[s]);
-        for &t in &old_row {
-            if let Ok(i) = cache.adj[t].binary_search(&s) {
-                cache.adj[t].remove(i);
-            }
-        }
-        // Recompute the moved node's row from its 3×3 cell block; the
-        // predicate matches `unit_disk_adjacency` exactly, so the cache is
-        // indistinguishable from a full rebuild.
-        let range = cache.cell;
-        let mut row = old_row;
-        row.clear();
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(b) = cache.buckets.get(&(new_cell.0 + dx, new_cell.1 + dy)) {
-                    for &t in b {
-                        if t != s
-                            && self.nodes[cache.members[t].index()]
-                                .pos
-                                .within(new_pos, range)
-                        {
-                            row.push(t);
-                        }
+            near.clear();
+            cache.near(new_pos, 1, &mut near);
+            near.retain(|&t| {
+                t != s
+                    && linked(
+                        self.nodes[cache.members[t as usize].index()].pos,
+                        new_pos,
+                        range,
+                    )
+            });
+            near.sort_unstable();
+            for &t in &near {
+                if self.owns(cache.members[t as usize]) {
+                    let row = cache.row_mut(t);
+                    if let Err(i) = row.binary_search(&s) {
+                        row.insert(i, s);
                     }
                 }
             }
-        }
-        row.sort_unstable();
-        for &t in &row {
-            if let Err(i) = cache.adj[t].binary_search(&s) {
-                cache.adj[t].insert(i, s);
+            if self.owns(id) {
+                *cache.row_mut(s) = near;
             }
         }
-        cache.adj[s] = row;
+        self.adjacency[ti] = Some(cache);
     }
 
     pub(crate) fn neighbors_of(&mut self, node: NodeId, tier: Tier) -> Vec<NodeId> {
@@ -402,12 +455,13 @@ impl WorldCore {
         let cache = self.adjacency[tier_index(tier)]
             .as_ref()
             .expect("just built");
-        let Some(slot) = cache.slot.get(node.index()).copied().flatten() else {
+        let Some(slot) = cache.slot_of(node) else {
             return Vec::new();
         };
-        cache.adj[slot]
+        cache
+            .row(slot)
             .iter()
-            .map(|&s| cache.members[s])
+            .map(|&s| cache.members[s as usize])
             .filter(|id| self.nodes[id.index()].alive)
             .collect()
     }
@@ -602,10 +656,11 @@ impl WorldCore {
             && self.cfg.medium.loss_prob == 0.0
             && !use_collisions;
         let cache = self.adjacency[ti].take().expect("just built");
-        if let Some(slot) = cache.slot.get(src.index()).copied().flatten() {
+        if let Some(slot) = cache.slot_of(src) {
+            debug_assert!(self.owns(src), "a shard transmits only for nodes it owns");
             let mut remote_payload: Option<std::sync::Arc<[u8]>> = None;
-            for &s in &cache.adj[slot] {
-                let rx = cache.members[s];
+            for &s in cache.row(slot) {
+                let rx = cache.members[s as usize];
                 if !self.nodes[rx.index()].alive {
                     continue;
                 }
@@ -653,10 +708,8 @@ impl WorldCore {
         // is still local here, so the membership test is O(log n).
         if self.trace.is_some() {
             if let Some(dst) = link_dst {
-                let src_slot = cache.slot.get(src.index()).copied().flatten();
-                let dst_slot = cache.slot.get(dst.index()).copied().flatten();
-                let reachable = match (src_slot, dst_slot) {
-                    (Some(s), Some(d)) => cache.adj[s].binary_search(&d).is_ok(),
+                let reachable = match (cache.slot_of(src), cache.slot_of(dst)) {
+                    (Some(s), Some(d)) => cache.row(s).binary_search(&d).is_ok(),
                     _ => false,
                 };
                 if !reachable {
@@ -740,20 +793,11 @@ impl WorldCore {
         let cache = self.adjacency[ti].take().expect("just built");
         let mut slots = std::mem::take(&mut self.ranged_scratch);
         slots.clear();
-        let (cx, cy) = cache.cell_of(src_pos);
-        let k = (range_m / cache.cell).floor() as i64 + 1;
-        for dx in -k..=k {
-            for dy in -k..=k {
-                if let Some(b) = cache.buckets.get(&(cx + dx, cy + dy)) {
-                    for &t in b {
-                        let id = cache.members[t];
-                        if id != src && self.nodes[id.index()].pos.dist_sq(src_pos) <= tolerance {
-                            slots.push(t);
-                        }
-                    }
-                }
-            }
-        }
+        cache.near(src_pos, cache.cells.grid().reach(range_m), &mut slots);
+        slots.retain(|&t| {
+            let id = cache.members[t as usize];
+            id != src && self.nodes[id.index()].pos.dist_sq(src_pos) <= tolerance
+        });
         // Member slots ascend with node id, so sorting restores the
         // deterministic id-order delivery schedule of a linear scan.
         slots.sort_unstable();
@@ -764,7 +808,7 @@ impl WorldCore {
             && self.cfg.medium.collisions != CollisionModel::ReceiverOverlap;
         let mut remote_payload: Option<std::sync::Arc<[u8]>> = None;
         for &t in &slots {
-            let rx = cache.members[t];
+            let rx = cache.members[t as usize];
             if fast_unicast && link_dst != Some(rx) && !self.nodes[rx.index()].promiscuous {
                 continue;
             }
@@ -1783,6 +1827,92 @@ mod tests {
         let n = w.run_to_idle(10_000);
         assert!(n >= 1);
         assert_eq!(w.metrics().received, 1);
+    }
+
+    /// Every cached row equals a fresh bulk build of the current
+    /// positions (masked to the owned rows on a shard), and every member
+    /// is found in its current cell.
+    fn assert_cache_matches_rebuild(w: &mut World, what: &str) {
+        for tier in [Tier::Sensor, Tier::Mesh] {
+            w.core.ensure_adjacency(tier);
+            let core = &w.core;
+            let cache = core.adjacency[tier_index(tier)].as_ref().unwrap();
+            let positions: Vec<Point> = cache
+                .members
+                .iter()
+                .map(|id| core.nodes[id.index()].pos)
+                .collect();
+            let fresh = CellIndex::build(&positions, cache.cells.range())
+                .adjacency(&positions, |s| core.owns(cache.members[s]));
+            let mut near = Vec::new();
+            for (s, &p) in positions.iter().enumerate() {
+                assert_eq!(
+                    cache.row(s as u32),
+                    fresh.row(s),
+                    "{what}: {tier:?} row of slot {s}"
+                );
+                near.clear();
+                cache.near(p, 0, &mut near);
+                assert_eq!(
+                    near.iter().filter(|&&t| t as usize == s).count(),
+                    1,
+                    "{what}: {tier:?} slot {s} not in its cell"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_moves_equal_a_bulk_rebuild() {
+        // 160 sensors and 6 gateways (both tiers) plus a base station on
+        // a 200 m field; moves jitter in place, jump across the field and
+        // leave the build-time bounding box.
+        let mut rng = SplitMix64::new(0xAD_5EED);
+        let mut donor = World::new(WorldConfig::ideal(5));
+        let mut ids = Vec::new();
+        for k in 0..167 {
+            let p = Point::new(rng.next_f64() * 200.0, rng.next_f64() * 200.0);
+            let cfg = match k {
+                0..=159 => NodeConfig::sensor(p, 1.0),
+                160..=165 => NodeConfig::gateway(p),
+                _ => NodeConfig::base_station(p),
+            };
+            ids.push(donor.add_node(cfg, probe(false)));
+        }
+        let owner: Vec<u16> = donor
+            .core
+            .nodes
+            .iter()
+            .map(|n| (n.pos.x >= 100.0) as u16)
+            .collect();
+        let mut worlds = vec![("reference", donor.clone_shell())];
+        for me in 0..2 {
+            let mut shard = donor.clone_shell();
+            shard.install_shard_state(owner.clone(), me);
+            worlds.push((["shard 0", "shard 1"][me as usize], shard));
+        }
+        for (what, w) in &mut worlds {
+            assert_cache_matches_rebuild(w, what);
+        }
+        for step in 0..300 {
+            let id = ids[rng.next_below(ids.len() as u64) as usize];
+            let old = donor.core.nodes[id.index()].pos;
+            let pos = match step % 3 {
+                0 => Point::new(old.x + rng.next_f64() * 6.0 - 3.0, old.y),
+                1 => Point::new(rng.next_f64() * 200.0, rng.next_f64() * 200.0),
+                _ => Point::new(
+                    rng.next_f64() * 400.0 - 100.0,
+                    rng.next_f64() * 260.0 - 30.0,
+                ),
+            };
+            donor.core.nodes[id.index()].pos = pos;
+            for (what, w) in &mut worlds {
+                w.set_position_inner(id, pos, false);
+                if step % 10 == 9 {
+                    assert_cache_matches_rebuild(w, &format!("{what}, move {step}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use crate::Topology;
 use std::collections::VecDeque;
+use wmsn_util::geom::Adjacency;
 
 /// Hop distances from every vertex to its nearest gateway, computed by a
 /// multi-source BFS seeded at all gateways — the graph-theoretic ideal
@@ -26,7 +27,7 @@ impl HopField {
     }
 
     /// As [`HopField::compute`], reusing a prebuilt adjacency.
-    pub fn compute_with_adj(topo: &Topology, adj: &[Vec<usize>]) -> Self {
+    pub fn compute_with_adj(topo: &Topology, adj: &Adjacency) -> Self {
         let n = topo.node_count();
         let mut hops = vec![u32::MAX; n];
         let mut nearest = vec![usize::MAX; n];
@@ -38,7 +39,7 @@ impl HopField {
             queue.push_back(v);
         }
         while let Some(v) = queue.pop_front() {
-            for &u in &adj[v] {
+            for u in adj.neighbors(v) {
                 if hops[u] == u32::MAX {
                     hops[u] = hops[v] + 1;
                     nearest[u] = nearest[v];
@@ -87,7 +88,7 @@ impl HopField {
 
 /// BFS hop distance between two vertices over `adj` (`None` if
 /// disconnected).
-pub fn bfs_hops(adj: &[Vec<usize>], from: usize, to: usize) -> Option<u32> {
+pub fn bfs_hops(adj: &Adjacency, from: usize, to: usize) -> Option<u32> {
     if from == to {
         return Some(0);
     }
@@ -95,7 +96,7 @@ pub fn bfs_hops(adj: &[Vec<usize>], from: usize, to: usize) -> Option<u32> {
     dist[from] = 0;
     let mut queue = VecDeque::from([from]);
     while let Some(v) = queue.pop_front() {
-        for &u in &adj[v] {
+        for u in adj.neighbors(v) {
             if dist[u] == u32::MAX {
                 dist[u] = dist[v] + 1;
                 if u == to {
@@ -110,7 +111,7 @@ pub fn bfs_hops(adj: &[Vec<usize>], from: usize, to: usize) -> Option<u32> {
 
 /// Connected components of `adj` as a label vector (labels are the
 /// smallest vertex in each component).
-pub fn components(adj: &[Vec<usize>]) -> Vec<usize> {
+pub fn components(adj: &Adjacency) -> Vec<usize> {
     let n = adj.len();
     let mut label = vec![usize::MAX; n];
     for start in 0..n {
@@ -120,7 +121,7 @@ pub fn components(adj: &[Vec<usize>]) -> Vec<usize> {
         label[start] = start;
         let mut queue = VecDeque::from([start]);
         while let Some(v) = queue.pop_front() {
-            for &u in &adj[v] {
+            for u in adj.neighbors(v) {
                 if label[u] == usize::MAX {
                     label[u] = start;
                     queue.push_back(u);
@@ -133,7 +134,7 @@ pub fn components(adj: &[Vec<usize>]) -> Vec<usize> {
 
 /// Whether the graph is a single connected component (vacuously true for
 /// 0 or 1 vertices).
-pub fn is_connected(adj: &[Vec<usize>]) -> bool {
+pub fn is_connected(adj: &Adjacency) -> bool {
     let labels = components(adj);
     labels.iter().all(|&l| l == 0) || labels.is_empty()
 }
@@ -141,6 +142,7 @@ pub fn is_connected(adj: &[Vec<usize>]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmsn_util::geom::unit_disk_adjacency;
     use wmsn_util::{Point, Rect};
 
     /// A 5-sensor chain with a gateway at the far end:
@@ -228,8 +230,12 @@ mod tests {
 
     #[test]
     fn empty_graph_is_connected() {
-        assert!(is_connected(&[]));
-        assert!(is_connected(&[vec![]]));
-        assert!(!is_connected(&[vec![], vec![]]));
+        let isolated = |n: usize| {
+            let pts: Vec<Point> = (0..n).map(|i| Point::new(i as f64 * 10.0, 0.0)).collect();
+            unit_disk_adjacency(&pts, 1.0)
+        };
+        assert!(is_connected(&isolated(0)));
+        assert!(is_connected(&isolated(1)));
+        assert!(!is_connected(&isolated(2)));
     }
 }

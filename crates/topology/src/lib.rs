@@ -41,7 +41,7 @@ pub use placement::PlacementAlgorithm;
 pub use places::FeasiblePlaces;
 pub use sharding::strip_shards;
 
-use wmsn_util::geom::unit_disk_adjacency;
+use wmsn_util::geom::{unit_disk_adjacency, Adjacency};
 use wmsn_util::{Point, Rect};
 
 /// A static snapshot of a sensor field: sensors, gateways, field, range.
@@ -89,7 +89,7 @@ impl Topology {
     }
 
     /// Unit-disk adjacency over all vertices at the sensor range.
-    pub fn adjacency(&self) -> Vec<Vec<usize>> {
+    pub fn adjacency(&self) -> Adjacency {
         unit_disk_adjacency(&self.positions(), self.range)
     }
 
@@ -130,9 +130,9 @@ mod tests {
             1.5,
         );
         let adj = t.adjacency();
-        assert_eq!(adj[0], vec![1]); // sensor 0 ↔ sensor 1
-        assert_eq!(adj[1], vec![0, 2]); // sensor 1 ↔ gateway
-        assert_eq!(adj[2], vec![1]);
+        assert_eq!(adj.row(0), [1]); // sensor 0 ↔ sensor 1
+        assert_eq!(adj.row(1), [0, 2]); // sensor 1 ↔ gateway
+        assert_eq!(adj.row(2), [1]);
     }
 
     #[test]

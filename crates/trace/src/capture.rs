@@ -1102,26 +1102,23 @@ pub fn capture_energy_of<R: Read + Seek>(
 // ------------------------------------------------------------- merge --
 
 /// Pull-style frame cursor over a capture, for k-way merging of
-/// per-shard captures. Yields frames in `(at, key)` order.
+/// per-shard captures. Yields frames in capture order — the shard's
+/// execution order, which the merge needs as it is (see
+/// [`crate::sink::merge_in_execution_order`]).
 ///
 /// A shard's event loop is time-ordered, so its capture stream is
 /// `at`-monotone by construction (a regression is a hard error — the
-/// file is not a shard capture). Within one `at` microsecond, though,
-/// the shard wheel executes events in insertion order, not key order,
-/// so a shard stream can contain *key* inversions inside an equal-`at`
-/// run. The in-memory merge ([`crate::merge_keyed_events_with`])
-/// handles those with a sort-based fallback; the cursor does the
-/// bounded-memory equivalent — it buffers one equal-`at` run at a time
-/// and stably sorts it by key (capture order kept for equal keys),
-/// which reproduces the same `(at, key, capture order)` total order
-/// without ever sorting the full stream. Memory is one segment plus
-/// the current run.
+/// file is not a shard capture, and it surfaces as soon as the cursor
+/// reads the run before it). Within one `at` microsecond a zero-delay
+/// event keyed below its scheduler follows it, so keys may step down
+/// there. The cursor reads one equal-`at` run ahead; memory is one
+/// segment plus that run.
 #[derive(Debug)]
 pub struct CaptureCursor<R: Read + Seek> {
     reader: CaptureReader<R>,
     seg_idx: usize,
     frame_idx: usize,
-    /// The current equal-`at` run, key-sorted; front is the next frame.
+    /// The current equal-`at` run; front is the next frame.
     run: std::collections::VecDeque<(TraceEvent, u64, u64)>,
     /// First frame of the *next* run, read while delimiting this one.
     pending: Option<(TraceEvent, u64, u64)>,
@@ -1183,9 +1180,9 @@ impl<R: Read + Seek> CaptureCursor<R> {
         }
     }
 
-    /// Load the next equal-`at` run and key-sort it (no-op if one is
-    /// already buffered). Maintains the invariant that `run` is
-    /// non-empty unless the capture is exhausted.
+    /// Load the next equal-`at` run (no-op if one is already buffered).
+    /// Maintains the invariant that `run` is non-empty unless the
+    /// capture is exhausted.
     fn refill(&mut self) -> Result<(), String> {
         if !self.run.is_empty() {
             return Ok(());
@@ -1209,9 +1206,6 @@ impl<R: Read + Seek> CaptureCursor<R> {
                 None => break,
             }
         }
-        // Stable: equal (at, key) frames keep capture order, matching
-        // the in-memory merge's (at, key, capture index) sort key.
-        run.sort_by_key(|f| f.2);
         self.run = run.into();
         Ok(())
     }
@@ -1232,14 +1226,12 @@ impl<R: Read + Seek> CaptureCursor<R> {
     }
 }
 
-/// K-way merge of per-shard capture files into the `(at, key)` total
+/// K-way merge of per-shard capture files into the reference emission
 /// order — the disk-backed twin of
-/// [`crate::ring::merge_keyed_events_with`], same order semantics
-/// (equal `(at, key)` never spans shards, so first-minimal-cursor-wins
-/// reproduces the reference emission order; each cursor key-sorts its
-/// equal-`at` runs, the bounded-memory twin of the in-memory merge's
-/// sort fallback). Memory is one segment plus one equal-`at` run per
-/// shard. Returns the merged frame count.
+/// [`crate::ring::merge_keyed_events_with`], with the same head-merge
+/// rule ([`crate::sink::merge_in_execution_order`]). Memory is one
+/// segment plus one equal-`at` run per shard. Returns the merged frame
+/// count.
 pub fn merge_captures_with<R: Read + Seek, F: FnMut(&TraceEvent)>(
     cursors: &mut [CaptureCursor<R>],
     mut f: F,
@@ -1584,44 +1576,56 @@ mod tests {
     }
 
     #[test]
-    fn cursor_key_sorts_equal_at_runs() {
-        // A shard wheel executes same-microsecond events in insertion
-        // order, so a shard capture can carry key inversions *within*
-        // an equal-`at` run. The cursor must heal those (yielding the
-        // same (at, key, capture order) total order the in-memory
-        // merge's sort fallback produces), while `at` regressions stay
-        // hard errors (previous test).
+    fn cursor_keeps_execution_order_within_equal_at_runs() {
+        // A zero-delay event keyed below the event that scheduled it runs
+        // right after it, so a shard capture can step down in key inside
+        // an equal-`at` run. The cursor must yield such runs as captured,
+        // and the k-way merge must keep the late event after its cause
+        // (an `at` regression stays a hard error, previous test).
         let rx = |t: u64, seq: u64| TraceEvent::Rx {
             t,
             seq,
             node: NodeId(1),
         };
-        // at=5 run arrives with keys 9, 2, 9 — unsorted, with a dup.
-        let frames = vec![
+        // Shard A: the key-9 event at at=5 schedules the key-2 one.
+        let a = vec![
             (rx(1, 0), 1, 7),
             (rx(5, 1), 5, 9),
             (rx(5, 2), 5, 2),
-            (rx(5, 3), 5, 9),
-            (rx(8, 4), 8, 1),
+            (rx(8, 3), 8, 1),
         ];
-        let in_memory = merge_keyed_events(vec![frames
-            .iter()
-            .map(|&(ev, at, key)| (at, key, ev))
-            .collect()]);
-        let r = CaptureReader::new(Cursor::new(write_capture(&frames, 2))).expect("open");
-        let mut c = CaptureCursor::new(r).expect("cursor");
+        // Shard B: key 4 ran before A's key 9, key 11 after A's burst.
+        let b = vec![(rx(5, 4), 5, 4), (rx(5, 5), 5, 11)];
+        let cursor = |frames: &[(TraceEvent, u64, u64)]| {
+            let r = CaptureReader::new(Cursor::new(write_capture(frames, 2))).expect("open");
+            CaptureCursor::new(r).expect("cursor")
+        };
+        let mut c = cursor(&a);
         let mut got = Vec::new();
-        let mut last = None;
-        while let Some((ev, at, key)) = c.advance().expect("advance") {
-            assert!(last.is_none_or(|p| p <= (at, key)), "cursor output sorted");
-            last = Some((at, key));
-            got.push(ev);
+        while let Some(f) = c.advance().expect("advance") {
+            got.push(f);
         }
-        assert_eq!(got, in_memory);
-        assert_eq!(
-            got.iter().map(|ev| ev.t()).collect::<Vec<_>>(),
-            vec![1, 5, 5, 5, 8]
+        assert_eq!(got, a, "cursor yields capture order");
+
+        let in_memory = merge_keyed_events(
+            [&a, &b]
+                .iter()
+                .map(|s| s.iter().map(|&(ev, at, key)| (at, key, ev)).collect())
+                .collect(),
         );
+        let mut cursors = [cursor(&a), cursor(&b)];
+        let mut merged = Vec::new();
+        merge_captures_with(&mut cursors, |ev| merged.push(*ev)).expect("merge");
+        assert_eq!(merged, in_memory);
+        let seqs = |evs: &[TraceEvent]| -> Vec<u64> {
+            evs.iter()
+                .map(|ev| match ev {
+                    TraceEvent::Rx { seq, .. } => *seq,
+                    _ => unreachable!(),
+                })
+                .collect()
+        };
+        assert_eq!(seqs(&merged), vec![0, 4, 1, 2, 5, 3]);
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub use ring::{
     RingSink, RingStats,
 };
 pub use sink::{
-    merge_keyed_traces, BufferSink, CountingSink, JsonlSink, KeyedBufferSink, NullSink, TraceSink,
+    merge_in_execution_order, merge_keyed_traces, BufferSink, CountingSink, JsonlSink,
+    KeyedBufferSink, NullSink, TraceSink,
 };
 pub use structured::{log_error, log_record, record_line};

@@ -346,20 +346,12 @@ impl TraceSink for FrameBufferSink {
     }
 }
 
-/// Merge per-shard frame captures into one event sequence ordered by
-/// `(at, key, capture order)` — the same total order
-/// [`crate::merge_keyed_traces`] uses for JSONL lines, so the merged
-/// events match the unsharded run's emission order exactly.
-///
-/// Each shard's event loop executes in `(at, key)` order, so its
-/// capture stream arrives already sorted (equal pairs are consecutive
-/// frames of one executed event and keep capture order), and a key's
-/// node lives in exactly one shard, so equal `(at, key)` never spans
-/// shards. A linear k-way merge therefore reproduces the total order
-/// without a comparison sort over the full stream — which matters at
-/// the 10⁷-frame scale of the n=100k monitored round. Unsorted inputs
-/// (hand-built captures) are detected by a sortedness pre-scan and fall
-/// back to the stable sort.
+/// Merge per-shard frame captures into one event sequence in the
+/// unsharded run's emission order — the order
+/// [`crate::merge_keyed_traces`] gives JSONL lines (see
+/// [`crate::sink::merge_in_execution_order`]). A linear k-way merge, with
+/// no comparison sort over the full stream — which matters at the
+/// 10⁷-frame scale of the n=100k monitored round.
 pub fn merge_keyed_events(shards: Vec<Vec<(u64, u64, TraceEvent)>>) -> Vec<TraceEvent> {
     let mut out = Vec::with_capacity(shards.iter().map(Vec::len).sum());
     merge_keyed_events_with(shards, |ev| out.push(*ev));
@@ -367,55 +359,15 @@ pub fn merge_keyed_events(shards: Vec<Vec<(u64, u64, TraceEvent)>>) -> Vec<Trace
 }
 
 /// Streaming form of [`merge_keyed_events`]: visit each event in the
-/// merged `(at, key, capture order)` total order without materialising
-/// the merged sequence. At the n=100k scale the merged `Vec` is a
-/// gigabyte of fresh pages, so a consumer that only needs one ordered
-/// pass (the health monitor, a serialising sink) should take this
-/// entry point.
+/// merged order without materialising the merged sequence. At the
+/// n=100k scale the merged `Vec` is a gigabyte of fresh pages, so a
+/// consumer that only needs one ordered pass (the health monitor, a
+/// serialising sink) should take this entry point.
 pub fn merge_keyed_events_with<F: FnMut(&TraceEvent)>(
     shards: Vec<Vec<(u64, u64, TraceEvent)>>,
     mut f: F,
 ) {
-    let sorted = shards
-        .iter()
-        .all(|s| s.windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
-    if !sorted {
-        for ev in merge_keyed_events_sorting(shards) {
-            f(&ev);
-        }
-        return;
-    }
-    let total: usize = shards.iter().map(Vec::len).sum();
-    let mut heads = vec![0usize; shards.len()];
-    for _ in 0..total {
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (s, shard) in shards.iter().enumerate() {
-            if let Some(&(at, key, _)) = shard.get(heads[s]) {
-                if best.is_none_or(|(ba, bk, _)| (at, key) < (ba, bk)) {
-                    best = Some((at, key, s));
-                }
-            }
-        }
-        let (_, _, s) = best.expect("fewer than `total` frames emitted");
-        f(&shards[s][heads[s]].2);
-        heads[s] += 1;
-    }
-}
-
-/// Sort-based fallback for [`merge_keyed_events`] when a shard stream
-/// is not `(at, key)`-sorted.
-fn merge_keyed_events_sorting(shards: Vec<Vec<(u64, u64, TraceEvent)>>) -> Vec<TraceEvent> {
-    let mut all: Vec<(u64, u64, usize, TraceEvent)> = shards
-        .into_iter()
-        .flat_map(|entries| {
-            entries
-                .into_iter()
-                .enumerate()
-                .map(|(i, (at, key, ev))| (at, key, i, ev))
-        })
-        .collect();
-    all.sort_by_key(|e| (e.0, e.1, e.2));
-    all.into_iter().map(|(_, _, _, ev)| ev).collect()
+    crate::sink::merge_in_execution_order(shards, |&(at, key, _)| (at, key), |(_, _, ev)| f(&ev));
 }
 
 #[cfg(test)]

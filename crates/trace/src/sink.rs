@@ -166,28 +166,57 @@ impl TraceSink for KeyedBufferSink {
     }
 }
 
-/// Merge per-shard keyed trace captures into one JSONL string ordered by
-/// `(at, key, capture order)`. Every `(at, key)` pair originates on
-/// exactly one shard (keys encode the scheduling node, nodes execute on
-/// one shard), so the sort is unambiguous across shards, and the stable
-/// tie-break on capture order preserves each event's internal line
-/// sequence.
-pub fn merge_keyed_traces(shards: Vec<KeyedBufferSink>) -> String {
-    let mut all: Vec<(u64, u64, usize, String)> = shards
+/// Interleave per-shard streams, each in its shard's execution order,
+/// into the order the single-threaded reference executes them: take the
+/// head with the least `(at, key)` stamp, again and again.
+///
+/// The streams are merged as they are, never re-sorted. A zero-delay
+/// event keyed below the event that scheduled it (an SPR re-flood
+/// whose jitter draw is 0) runs right after its scheduler on the same
+/// shard, so its stream lists it there although its stamp is smaller.
+/// The head merge keeps it in place: when it reaches the head, every
+/// other shard's head is stamped after its scheduler or not yet due. A
+/// sort by stamp would hoist it ahead of its own cause. Equal stamps
+/// never span streams (a key's node runs on one shard), so the first
+/// minimal head is the only one.
+pub fn merge_in_execution_order<T>(
+    streams: Vec<Vec<T>>,
+    stamp: impl Fn(&T) -> (u64, u64),
+    mut f: impl FnMut(T),
+) {
+    let mut heads: Vec<_> = streams
         .into_iter()
-        .flat_map(|s| {
-            s.entries
-                .into_iter()
-                .enumerate()
-                .map(|(i, (at, key, line))| (at, key, i, line))
-        })
+        .map(|s| s.into_iter().peekable())
         .collect();
-    all.sort_by_key(|a| (a.0, a.1, a.2));
-    let mut out = String::new();
-    for (_, _, _, line) in all {
-        out.push_str(&line);
-        out.push('\n');
+    loop {
+        let mut best: Option<((u64, u64), usize)> = None;
+        for (i, h) in heads.iter_mut().enumerate() {
+            if let Some(x) = h.peek() {
+                let at_key = stamp(x);
+                if best.is_none_or(|(b, _)| at_key < b) {
+                    best = Some((at_key, i));
+                }
+            }
+        }
+        let Some((_, i)) = best else {
+            return;
+        };
+        f(heads[i].next().expect("peeked head"));
     }
+}
+
+/// Merge per-shard keyed trace captures into one JSONL string in the
+/// reference run's order (see [`merge_in_execution_order`]).
+pub fn merge_keyed_traces(shards: Vec<KeyedBufferSink>) -> String {
+    let mut out = String::new();
+    merge_in_execution_order(
+        shards.into_iter().map(|s| s.entries).collect(),
+        |&(at, key, _)| (at, key),
+        |(_, _, line)| {
+            out.push_str(&line);
+            out.push('\n');
+        },
+    );
     out
 }
 

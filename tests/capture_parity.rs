@@ -256,13 +256,14 @@ fn sharded_e9() -> (
 
 #[test]
 fn capture_merge_heals_same_at_key_inversions_at_scale() {
-    // A shard's event wheel executes same-microsecond events in
-    // insertion order, not key order, so at E9 scale the per-shard
-    // streams carry (at, key) inversions inside equal-`at` runs. The
-    // in-memory merge handles them with a sort fallback; the capture
-    // cursors must produce the *same* healed total order from disk.
-    // (The E1 tests above never trip this — their shard streams happen
-    // to arrive fully sorted — so this scenario is the regression pin.)
+    // A zero-delay event keyed below the event that scheduled it (an
+    // SPR re-flood whose jitter draw is 0) runs right after it, so at
+    // E9 scale the per-shard streams carry (at, key) inversions inside
+    // equal-`at` runs. The in-memory merge keeps each stream's execution
+    // order; the capture cursors must produce the *same* total order
+    // from disk. (The E1 tests above never trip this — their shard
+    // streams happen to arrive fully sorted — so this scenario is the
+    // regression pin.)
     let (mut scen, base, sources) = sharded_e9();
     scen.world.install_ring_sinks(RingConfig::default());
     e9_large_round(&mut scen, base, sources);

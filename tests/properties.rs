@@ -327,7 +327,7 @@ fn hop_field_triangle_inequality() {
         let hf = HopField::compute(&topo);
         #[allow(clippy::needless_range_loop)]
         for v in 0..n {
-            for &u in &adj[v] {
+            for u in adj.neighbors(v) {
                 if hf.hops[u] != u32::MAX && hf.hops[v] != u32::MAX {
                     assert!(hf.hops[v] <= hf.hops[u] + 1);
                 }

@@ -109,10 +109,15 @@ fn e1_field(seed: u64) -> (FieldParams, GatewayParams) {
     (field, GatewayParams::default_three())
 }
 
-fn shard_scenario(scen: SprScenario, shards: usize, threads: usize) -> SprScenario<ShardedWorld> {
+/// The strip-shard owner of every node (sensors, then gateways).
+fn strips(scen: &SprScenario, shards: usize) -> Vec<u16> {
     let mut positions = scen.sensor_positions.clone();
     positions.extend_from_slice(&scen.gateway_positions);
-    let assignment = strip_shards(&positions, scen.range_m, shards);
+    strip_shards(&positions, scen.range_m, shards)
+}
+
+fn shard_scenario(scen: SprScenario, shards: usize, threads: usize) -> SprScenario<ShardedWorld> {
+    let assignment = strips(&scen, shards);
     scen.map_world(|w| ShardedWorld::from_world(w, assignment, threads))
 }
 
@@ -169,6 +174,96 @@ fn merged_shard_trace_is_byte_identical_to_the_reference_trace() {
         .expect("sinks installed");
     assert!(!want.is_empty(), "reference trace must not be empty");
     assert_eq!(got, want, "merged shard trace != reference trace bytes");
+}
+
+/// A sensor and a gateway that each jump from the left of the field to
+/// beside its rightmost sensor (the third field), crossing every strip
+/// seam whatever the shard count.
+fn seam_crossing_moves(scen: &SprScenario) -> [(NodeId, Point, NodeId); 2] {
+    let by_x = |ps: &[Point]| {
+        let mut ix: Vec<usize> = (0..ps.len()).collect();
+        ix.sort_by(|&a, &b| ps[a].x.total_cmp(&ps[b].x));
+        (ix[0], ix[ix.len() - 1])
+    };
+    let (left, right) = by_x(&scen.sensor_positions);
+    let (left_gw, _) = by_x(&scen.gateway_positions);
+    let anchor = scen.sensor_positions[right];
+    [
+        (
+            scen.sensors[left],
+            Point::new(anchor.x - 1.0, anchor.y + 1.5),
+            scen.sensors[right],
+        ),
+        (
+            scen.gateways[left_gw],
+            Point::new(anchor.x - 4.0, anchor.y - 3.0),
+            scen.sensors[right],
+        ),
+    ]
+}
+
+/// Two SPR rounds with the moves applied between them.
+fn rounds_around_moves<H: SimHost>(d: &mut SprDriver<H>, moves: &[(NodeId, Point, NodeId)]) {
+    d.run_round();
+    for &(id, to, _) in moves {
+        d.scenario.world.set_position(id, to);
+    }
+    d.run_round();
+}
+
+#[test]
+fn moves_across_strip_seams_match_reference_fingerprint_and_trace() {
+    // Owned-only adjacency rows make the move path shard-dependent: a
+    // shard repairs its owned rows around a node another shard owns.
+    let (field, gw) = e1_field(23);
+    let mut reference = SprDriver::new(build_spr(&field, &gw, TrafficParams::default()));
+    let moves = seam_crossing_moves(&reference.scenario);
+    reference
+        .scenario
+        .world
+        .set_trace_sink(Box::new(BufferSink::new()));
+    rounds_around_moves(&mut reference, &moves);
+    let sensors = reference.scenario.sensors.clone();
+    let want = fingerprint(&mut reference.scenario.world, &sensors);
+    let want_trace = reference
+        .scenario
+        .world
+        .take_trace_sink()
+        .expect("sink installed")
+        .as_any()
+        .downcast_ref::<BufferSink>()
+        .expect("BufferSink")
+        .out
+        .clone();
+    assert!(
+        want_trace.contains("node_move"),
+        "the trace records the moves"
+    );
+    for shards in [2, 4] {
+        let scen = build_spr(&field, &gw, TrafficParams::default());
+        let owner = strips(&scen, shards);
+        for &(id, _, anchor) in &moves {
+            assert_ne!(
+                owner[id.index()],
+                owner[anchor.index()],
+                "{shards} shards: node {id:?} must land in another shard's strip"
+            );
+        }
+        let mut d = SprDriver::new(shard_scenario(scen, shards, test_threads()));
+        d.scenario.world.install_trace_sinks();
+        rounds_around_moves(&mut d, &moves);
+        let got = fingerprint(&mut d.scenario.world, &sensors);
+        assert_eq!(got, want, "{shards} shards: fingerprint diverged");
+        let got_trace = d
+            .scenario
+            .world
+            .take_merged_trace()
+            .expect("sinks installed");
+        assert_eq!(
+            got_trace, want_trace,
+            "{shards} shards: merged trace != reference"
+        );
+    }
 }
 
 // ------------------------------------------------------------ E6 arm --
