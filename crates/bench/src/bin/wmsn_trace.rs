@@ -6,7 +6,7 @@
 //! "what is node K's energy timeline".
 //!
 //! ```text
-//! wmsn-trace record  <out> [seed] [rounds] [--bin|--seg]  # run E1 (SPR, 40 sensors) traced
+//! wmsn-trace record  <out> [seed] [rounds] [--seg]  # run E1 (SPR, 40 sensors) traced
 //! wmsn-trace summary <trace>                        # event counts; exits 1 on parse errors
 //! wmsn-trace path    <trace> <origin> <msg_id>
 //! wmsn-trace drop    <trace> <seq>
@@ -19,8 +19,8 @@
 //! wmsn-trace alerts  <trace>                        # just the alert JSONL stream
 //! wmsn-trace top     <trace> [k]                    # k busiest nodes by tx (default 10)
 //! wmsn-trace index   <capture>                      # segment directory of a segmented capture
-//! wmsn-trace pack    <in> <out> [segment_frames]    # jsonl/flat-bin → segmented capture
-//! wmsn-trace convert <in> <out>                     # bin/segmented→jsonl or jsonl→bin
+//! wmsn-trace pack    <in> <out> [segment_frames]    # jsonl → segmented capture
+//! wmsn-trace convert <in> <out>                     # segmented capture → jsonl
 //! ```
 //!
 //! `health --window` and `explain` resume the detector bank from the
@@ -34,11 +34,11 @@
 //! frame reads into them fail loudly) with checkpoints re-embedded so
 //! windowed queries over retained ranges keep working.
 //!
-//! Every query accepts **any of the three formats**: the input is
-//! sniffed by its first bytes (flat binary captures open with the
-//! `WMSNTRB` magic, segmented captures with `WMSNTRS`, JSONL with `{`).
-//! JSONL and flat binary replay through the in-memory [`Replay`];
-//! segmented captures answer through the streaming scan layer in
+//! Every query accepts **either of the two formats**: the input is
+//! sniffed by its first bytes (segmented `.wcap` captures open with the
+//! `WMSNTRS` magic, JSONL with `{`). JSONL replays through the
+//! in-memory [`Replay`]; segmented captures answer through the
+//! streaming scan layer in
 //! `wmsn_trace::capture` — segment-at-a-time decode with index-driven
 //! segment skipping, so a query over a multi-gigabyte capture holds one
 //! segment in memory. Both paths print identical records byte for byte
@@ -69,19 +69,17 @@ use wmsn_health::{
     alerts_in_window, compact_capture, explain_alert, replay_window, CompactionPolicy, HealthAlert,
     HealthConfig, HealthMonitor, WindowReplayStats,
 };
-use wmsn_trace::frame::write_header;
 use wmsn_trace::replay::MessagePath;
 use wmsn_trace::{
-    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, encode_frame,
-    is_binary_capture, is_segmented_capture, log_error, log_record, tag_name, BinarySink,
-    BinaryTraceReader, CaptureConfig, CaptureReader, CaptureSink, JsonlSink, Replay, ScanFilter,
-    TraceEvent, TraceSink, DEFAULT_SEGMENT_FRAMES, TAG_COUNT,
+    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, is_segmented_capture,
+    log_error, log_record, tag_name, CaptureConfig, CaptureReader, CaptureSink, JsonlSink, Replay,
+    ScanFilter, TraceEvent, TraceSink, DEFAULT_SEGMENT_FRAMES, TAG_COUNT,
 };
 use wmsn_util::json::Json;
 
 fn usage() -> ! {
     println!(
-        "usage: wmsn-trace record  <out> [seed] [rounds] [--bin|--seg]\n\
+        "usage: wmsn-trace record  <out> [seed] [rounds] [--seg]\n\
          \x20      wmsn-trace summary <trace>\n\
          \x20      wmsn-trace path    <trace> <origin> <msg_id>\n\
          \x20      wmsn-trace drop    <trace> <seq>\n\
@@ -96,8 +94,8 @@ fn usage() -> ! {
          \x20      wmsn-trace index   <capture>\n\
          \x20      wmsn-trace pack    <in> <out> [segment_frames]\n\
          \x20      wmsn-trace convert <in> <out>\n\
-         (<trace> may be JSONL, a flat binary capture or a segmented\n\
-         \x20capture; the format is sniffed)"
+         (<trace> may be JSONL or a segmented .wcap capture; the\n\
+         \x20format is sniffed; pack writes a .wcap, convert reads one)"
     );
     std::process::exit(2);
 }
@@ -124,7 +122,6 @@ fn die_load(path: &str, line: Option<u64>, offset: Option<u64>, error: String) -
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Format {
     Jsonl,
-    Binary,
     Segmented,
 }
 
@@ -136,8 +133,6 @@ fn sniff(path: &str) -> Format {
     let n = f.read(&mut head).unwrap_or(0);
     if is_segmented_capture(&head[..n]) {
         Format::Segmented
-    } else if is_binary_capture(&head[..n]) {
-        Format::Binary
     } else {
         Format::Jsonl
     }
@@ -166,21 +161,6 @@ fn open_capture(path: &str) -> CaptureReader<BufReader<File>> {
         );
     }
     r
-}
-
-/// Stream the frames of a flat binary capture, reporting the byte
-/// offset of any corrupt frame.
-fn for_each_binary_event(path: &str, mut f: impl FnMut(TraceEvent, u64, u64)) {
-    let file = File::open(path).unwrap_or_else(|e| die_load(path, None, None, e.to_string()));
-    let mut r = BinaryTraceReader::new(BufReader::new(file))
-        .unwrap_or_else(|e| die_load(path, None, Some(0), e));
-    loop {
-        match r.next_frame() {
-            Ok(Some((ev, at, key))) => f(ev, at, key),
-            Ok(None) => return,
-            Err(e) => die_load(path, None, Some(r.byte_offset()), e),
-        }
-    }
 }
 
 /// Stream the events of a JSONL trace, reporting the 1-based line
@@ -212,22 +192,18 @@ fn parse_u64(s: &str, what: &'static str) -> u64 {
     })
 }
 
-/// Load a JSONL or flat-binary trace fully into the in-memory replay
-/// engine. Segmented captures never come through here — their queries
-/// stream (see the module docs).
+/// Load a JSONL trace fully into the in-memory replay engine.
+/// Segmented captures never come through here — their queries stream
+/// (see the module docs).
 fn load(path: &str) -> Replay {
     let mut events = Vec::new();
-    match sniff(path) {
-        Format::Binary => for_each_binary_event(path, |ev, _, _| events.push(ev)),
-        _ => for_each_jsonl_event(path, |ev| events.push(ev)),
-    }
+    for_each_jsonl_event(path, |ev| events.push(ev));
     Replay::from_events(&events)
 }
 
 /// Run the E1 kernel (SPR over 40 uniformly deployed sensors, three
 /// gateways) with a file sink installed, for `rounds` rounds. `format`
-/// selects JSONL, the flat fixed-frame binary sink, or the segmented
-/// capture sink.
+/// selects JSONL or the segmented capture sink.
 fn record(out: &str, seed: u64, rounds: u32, format: Format) {
     let field = FieldParams::default_uniform(40, seed);
     let scen = build_spr(
@@ -241,11 +217,6 @@ fn record(out: &str, seed: u64, rounds: u32, format: Format) {
             let file =
                 File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
             Box::new(JsonlSink::new(BufWriter::new(file)))
-        }
-        Format::Binary => {
-            let file =
-                File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-            Box::new(BinarySink::new(BufWriter::new(file)))
         }
         Format::Segmented => Box::new(
             CaptureSink::create(out, CaptureConfig::default())
@@ -267,11 +238,6 @@ fn record(out: &str, seed: u64, rounds: u32, format: Format) {
             .downcast_ref::<JsonlSink<BufWriter<File>>>()
             .map(JsonlSink::lines_written)
             .unwrap_or(0),
-        Format::Binary => sink
-            .as_any()
-            .downcast_ref::<BinarySink<BufWriter<File>>>()
-            .map(BinarySink::frames_written)
-            .unwrap_or(0),
         Format::Segmented => {
             let cap = sink
                 .as_any_mut()
@@ -290,7 +256,6 @@ fn record(out: &str, seed: u64, rounds: u32, format: Format) {
                 "format",
                 Json::from(match format {
                     Format::Jsonl => "jsonl",
-                    Format::Binary => "binary",
                     Format::Segmented => "segmented",
                 }),
             ),
@@ -303,31 +268,25 @@ fn record(out: &str, seed: u64, rounds: u32, format: Format) {
     );
 }
 
-/// Repack a JSONL or flat-binary trace into a segmented capture. Flat
-/// binary frames keep their causal `(at, key)` stamps; JSONL carries no
-/// causal keys, so events are stamped `at = t, key = 0` (exactly as
-/// `convert` does in the jsonl→bin direction).
+/// Pack a JSONL trace into a segmented capture. JSONL carries no causal
+/// keys, so events are stamped `at = t, key = 0`.
 fn pack(input: &str, out: &str, segment_frames: usize) {
-    let file = File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-    let mut w =
-        wmsn_trace::CaptureWriter::new(BufWriter::new(file), CaptureConfig { segment_frames })
-            .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-    match sniff(input) {
-        Format::Segmented => die_load(
+    if sniff(input) == Format::Segmented {
+        die_load(
             input,
             None,
             None,
             "input is already a segmented capture".into(),
-        ),
-        Format::Binary => for_each_binary_event(input, |ev, at, key| {
-            w.push(&ev, at, key)
-                .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-        }),
-        Format::Jsonl => for_each_jsonl_event(input, |ev| {
-            w.push(&ev, ev.t(), 0)
-                .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-        }),
+        );
     }
+    let file = File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
+    let mut w =
+        wmsn_trace::CaptureWriter::new(BufWriter::new(file), CaptureConfig { segment_frames })
+            .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
+    for_each_jsonl_event(input, |ev| {
+        w.push(&ev, ev.t(), 0)
+            .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
+    });
     let (_, stats) = w
         .finish()
         .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
@@ -381,62 +340,35 @@ fn index(path: &str) {
     }
 }
 
-/// Translate between capture formats, direction chosen by the input's
-/// sniffed format. bin→jsonl and segmented→jsonl render each decoded
-/// frame through `TraceEvent::to_json`, producing bytes identical to a
-/// live `JsonlSink` over the same events; jsonl→bin stamps `at = t,
-/// key = 0` (JSONL carries no causal keys).
+/// Render a segmented capture as JSONL: each decoded frame goes
+/// through `TraceEvent::to_json`, producing bytes identical to a live
+/// `JsonlSink` over the same events.
 fn convert(input: &str, out: &str) {
-    let from = sniff(input);
-    let mut events = 0u64;
-    match from {
-        Format::Binary | Format::Segmented => {
-            let file =
-                File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-            let mut w = BufWriter::new(file);
-            let mut emit = |ev: &TraceEvent| {
-                writeln!(w, "{}", ev.to_json())
-                    .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-                events += 1;
-            };
-            match from {
-                Format::Binary => for_each_binary_event(input, |ev, _, _| emit(&ev)),
-                _ => {
-                    let mut r = open_capture(input);
-                    r.scan(&ScanFilter::all(), |ev, _, _| emit(ev))
-                        .unwrap_or_else(|e| die_load(input, None, None, e));
-                }
-            }
-            w.flush()
-                .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-        }
-        Format::Jsonl => {
-            let dst =
-                File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-            let mut w = BufWriter::new(dst);
-            write_header(&mut w).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-            for_each_jsonl_event(input, |ev| {
-                w.write_all(&encode_frame(&ev, ev.t(), 0))
-                    .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-                events += 1;
-            });
-            w.flush()
-                .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
-        }
+    if sniff(input) != Format::Segmented {
+        die_load(
+            input,
+            None,
+            None,
+            "convert reads a segmented capture (pack writes one from JSONL)".into(),
+        );
     }
+    let mut r = open_capture(input);
+    let file = File::create(out).unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
+    let mut w = BufWriter::new(file);
+    let mut events = 0u64;
+    r.scan(&ScanFilter::all(), |ev, _, _| {
+        writeln!(w, "{}", ev.to_json())
+            .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
+        events += 1;
+    })
+    .unwrap_or_else(|e| die_load(input, None, None, e));
+    w.flush()
+        .unwrap_or_else(|e| die_load(out, None, None, e.to_string()));
     log_record(
         "trace_converted",
         vec![
             ("input", Json::from(input.to_string())),
             ("output", Json::from(out.to_string())),
-            (
-                "direction",
-                Json::from(match from {
-                    Format::Binary => "bin_to_jsonl",
-                    Format::Segmented => "segmented_to_jsonl",
-                    Format::Jsonl => "jsonl_to_bin",
-                }),
-            ),
             ("events", Json::from(events)),
         ],
     );
@@ -583,10 +515,9 @@ fn energy_query(path: &str, node: u64) {
 
 /// Stream a recorded trace through the health monitor, event by event —
 /// the offline twin of installing the monitor as the world's sink.
-/// Accepts all three capture formats; the detector bank sees the same
-/// event sequence whichever sink recorded it, and no format ever
-/// materialises the full event list (segmented captures stream one
-/// segment at a time).
+/// Accepts both formats; the detector bank sees the same event sequence
+/// whichever sink recorded it, and neither format materialises the full
+/// event list (segmented captures stream one segment at a time).
 fn monitor_file(path: &str) -> HealthMonitor {
     let mut monitor = HealthMonitor::with_config(HealthConfig::default());
     match sniff(path) {
@@ -595,7 +526,6 @@ fn monitor_file(path: &str) -> HealthMonitor {
             r.scan(&ScanFilter::all(), |ev, _, _| monitor.observe(ev))
                 .unwrap_or_else(|e| die_load(path, None, None, e));
         }
-        Format::Binary => for_each_binary_event(path, |ev, _, _| monitor.observe(&ev)),
         Format::Jsonl => for_each_jsonl_event(path, |ev| monitor.observe(&ev)),
     }
     monitor.finalize();
@@ -810,13 +740,10 @@ fn main() {
         Some("record") => {
             let mut rest: Vec<&String> = args[1..].iter().collect();
             let mut format = Format::Jsonl;
-            if rest.iter().any(|s| s.as_str() == "--bin") {
-                format = Format::Binary;
-            }
             if rest.iter().any(|s| s.as_str() == "--seg") {
                 format = Format::Segmented;
             }
-            rest.retain(|s| s.as_str() != "--bin" && s.as_str() != "--seg");
+            rest.retain(|s| s.as_str() != "--seg");
             let Some(out) = rest.first() else { usage() };
             let seed = rest.get(1).map_or(11, |s| parse_u64(s, "seed"));
             let rounds = rest.get(2).map_or(1, |s| parse_u64(s, "rounds")) as u32;

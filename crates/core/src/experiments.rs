@@ -2121,13 +2121,7 @@ pub fn e9_event_stats_monitored_ring(n: usize, seed: u64) -> (u64, usize, wmsn_t
             .as_any_mut()
             .downcast_mut::<wmsn_trace::RingSink>()
             .expect("the installed sink is the ring");
-        let s = ring.stats();
-        agg.frames_written += s.frames_written;
-        agg.frames_dropped += s.frames_dropped;
-        agg.blocked_us += s.blocked_us;
-        agg.peak_chunks = agg.peak_chunks.max(s.peak_chunks);
-        agg.capacity_chunks = s.capacity_chunks;
-        agg.chunk_frames = s.chunk_frames;
+        agg.absorb(ring.stats());
     }
     (events, peak, agg)
 }
@@ -2202,10 +2196,9 @@ pub fn e9_large_monitored_inline(n: usize, seed: u64, sources: usize) -> E9Large
 /// [`wmsn_trace::CaptureSink`] side by side (`capture.wcap`), while the
 /// sharded kernel writes one `shard-<i>.wcap` per shard from its drain
 /// threads and the monitor consumes the k-way
-/// [`wmsn_trace::merge_captures_with`] merge of those files — same
-/// causal order as the in-memory merge, so the alert stream is
-/// unchanged, but peak memory drops from every-frame-resident to one
-/// segment per shard.
+/// [`wmsn_trace::merge_in_execution_order`] merge of those files — the
+/// same merge as in memory, so the alert stream is unchanged, but peak
+/// memory drops from every-frame-resident to one segment per shard.
 ///
 /// Returns the round summary, the aggregate ring telemetry, the total
 /// alerts the monitor raised, and the capture telemetry when a
@@ -2293,8 +2286,10 @@ pub fn e9_large_monitored(
                     .iter()
                     .map(|p| wmsn_trace::CaptureCursor::open(p).expect("open shard capture"))
                     .collect();
-                wmsn_trace::merge_captures_with(&mut cursors, |ev| monitor.observe(ev))
-                    .expect("merge shard captures");
+                wmsn_trace::merge_in_execution_order(&mut cursors, |(_, _, ev)| {
+                    monitor.observe(&ev)
+                })
+                .expect("merge shard captures");
                 monitor.finalize();
                 (summary, stats, monitor.alerts().len() as u64, Some(cap))
             } else {
@@ -2308,7 +2303,11 @@ pub fn e9_large_monitored(
                 // One streamed pass in the merged causal order: the monitor
                 // only needs the order, not a materialised gigabyte-scale
                 // merged Vec.
-                wmsn_trace::merge_keyed_events_with(frames, |ev| monitor.observe(ev));
+                let mut streams: Vec<_> = frames.into_iter().map(Vec::into_iter).collect();
+                wmsn_trace::merge_in_execution_order(&mut streams, |(_, _, ev)| {
+                    monitor.observe(&ev)
+                })
+                .expect("in-memory streams cannot fail");
                 monitor.finalize();
                 (summary, stats, monitor.alerts().len() as u64, None)
             }

@@ -17,7 +17,7 @@
 //!    time window needs, in O(one segment) memory. Alert verdicts
 //!    inside the window are **byte-identical** to a full replay from
 //!    t=0:
-//!    with `W = window_us`, let `w0 = ⌈lo/W⌉ - 1` (0 for `lo = 0`) —
+//!    with `W = window_us` and `lo > 0`, let `w0 = ⌈lo/W⌉ - 1` —
 //!    the first window whose close can be stamped `≥ lo`. A
 //!    checkpoint at segment `k` is eligible iff the last event before
 //!    it lands in a window `≤ w0` (checked via `segments[k-1].at_max`).
@@ -25,7 +25,10 @@
 //!    close `≤ w0·W < lo` (strict by minimality of `w0`), so the
 //!    window filter discards it from the full replay too; every close
 //!    stamped `≥ lo` is still pending at the checkpoint and replays
-//!    from identical state, latches included.
+//!    from identical state, latches included. For `lo = 0` no
+//!    checkpoint is eligible and the replay starts at segment 0: a
+//!    checkpoint inside window 0 would hide that window's earlier
+//!    frames from the per-frame observer `explain` accounts with.
 //! 3. [`compact_capture`] — rewrite a capture under a retention
 //!    policy: recent segments and alert-adjacent windows keep their
 //!    frames (copied verbatim), everything older is reduced to its
@@ -227,12 +230,13 @@ pub fn replay_window_with<R: Read + Seek, F: FnMut(&TraceEvent, u64)>(
         .iter()
         .rposition(|m| m.at_min <= hi)
         .map_or(0, |i| i + 1);
-    // First window whose close can be stamped >= lo.
-    let w0 = if lo == 0 { 0 } else { (lo - 1) / window_us };
+    // First window whose close can be stamped >= lo. A window starting
+    // at 0 replays from segment 0 (see module docs).
+    let w0 = lo.saturating_sub(1) / window_us;
     let mut start = 0usize;
     let mut monitor = HealthMonitor::with_config(cfg);
     let mut checkpoint_seg = None;
-    if !full_scan {
+    if !full_scan && lo > 0 {
         for (seg, blob) in r.checkpoints() {
             let k = *seg as usize;
             // Eligible: the checkpoint's last digested event closed a

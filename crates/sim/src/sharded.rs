@@ -30,9 +30,11 @@
 //! 3. **Stamped emission order.** Trace lines and delivery records are
 //!    stamped with the `(at, key)` of the event that produced them.
 //!    Per-shard streams merge back into the exact reference order by
-//!    sorting on `(at, key, capture index)` — a total order, because
-//!    `(at, key)` pairs are unique per event and all of one event's
-//!    emissions happen on one shard.
+//!    repeatedly taking the least-stamped head of the shards' streams,
+//!    each kept in its shard's execution order
+//!    ([`wmsn_trace::merge_in_execution_order`]): `(at, key)` pairs are
+//!    unique per event and all of one event's emissions happen on one
+//!    shard, so the least head is the reference's next emission.
 //!
 //! # Gating: which workloads are equivalence-safe
 //!
@@ -69,8 +71,8 @@ use crate::time::SimTime;
 use crate::world::{RemoteEvent, World};
 use std::sync::Mutex;
 use wmsn_trace::capture::{CaptureConfig, CaptureSink, CaptureStats};
-use wmsn_trace::ring::{merge_keyed_events, FrameBufferSink, RingConfig, RingSink, RingStats};
-use wmsn_trace::{merge_in_execution_order, KeyedBufferSink, TraceEvent};
+use wmsn_trace::ring::{FrameBufferSink, RingConfig, RingSink, RingStats};
+use wmsn_trace::{merge_in_execution_order, BufferSink, TraceEvent, TraceSink};
 use wmsn_util::pool::bsp_run;
 use wmsn_util::{NodeId, NodeRole, Point};
 
@@ -494,39 +496,40 @@ impl ShardedWorld {
             .behavior_as(id)
     }
 
-    /// Install one [`KeyedBufferSink`] per shard. Retrieve the merged
+    /// Install one [`FrameBufferSink`] per shard. Retrieve the merged
     /// stream with [`ShardedWorld::take_merged_trace`].
     pub fn install_trace_sinks(&mut self) {
         for cell in &mut self.shards {
-            cell.0.set_trace_sink(Box::new(KeyedBufferSink::new()));
+            cell.0.set_trace_sink(Box::new(FrameBufferSink::new()));
         }
     }
 
-    /// Remove the per-shard sinks and merge their captures into the
-    /// byte-exact JSONL stream a single-threaded traced run produces
-    /// (sorted by `(at, key, capture index)` — see
-    /// [`wmsn_trace::merge_keyed_traces`]). `None` if
-    /// [`ShardedWorld::install_trace_sinks`] was never called.
+    /// Remove the per-shard sinks, merge their frames in execution order
+    /// ([`merge_in_execution_order`]) and render them through a
+    /// [`BufferSink`]: the byte-exact JSONL stream a single-threaded
+    /// traced run writes. `None` if [`ShardedWorld::install_trace_sinks`]
+    /// was never called.
     pub fn take_merged_trace(&mut self) -> Option<String> {
-        let mut sinks = Vec::with_capacity(self.shards.len());
+        let mut streams = Vec::with_capacity(self.shards.len());
         for cell in &mut self.shards {
-            let sink = cell.0.take_trace_sink()?;
-            let sink = sink
-                .as_any()
-                .downcast_ref::<KeyedBufferSink>()
-                .expect("install_trace_sinks installs KeyedBufferSink");
-            sinks.push(KeyedBufferSink {
-                entries: sink.entries.clone(),
-            });
+            let mut sink = cell.0.take_trace_sink()?;
+            let frames = sink
+                .as_any_mut()
+                .downcast_mut::<FrameBufferSink>()
+                .expect("install_trace_sinks installs FrameBufferSink");
+            streams.push(std::mem::take(&mut frames.entries).into_iter());
         }
-        Some(wmsn_trace::merge_keyed_traces(sinks))
+        let mut out = BufferSink::new();
+        merge_in_execution_order(&mut streams, |(_, _, ev)| out.record(&ev))
+            .expect("in-memory streams cannot fail");
+        Some(out.out)
     }
 
     /// Install one ring pipeline per shard: each shard's hot path only
     /// copies `TraceEvent` frames into its own bounded ring, and a
     /// per-shard drain thread buffers them (with their causal `(at,
-    /// key)` stamps) off the simulation threads. Retrieve the merged
-    /// stream with [`ShardedWorld::finish_ring_sinks`].
+    /// key)` stamps) off the simulation threads. Retrieve the per-shard
+    /// streams with [`ShardedWorld::finish_ring_frames`].
     ///
     /// Rings are strictly per-shard — a shard's world is the sole
     /// producer on its ring — so the SPSC discipline holds no matter
@@ -538,18 +541,6 @@ impl ShardedWorld {
         }
     }
 
-    /// Stop the per-shard ring pipelines and merge their frames by
-    /// `(at, key, capture index)` — the same total order
-    /// [`ShardedWorld::take_merged_trace`] uses for JSONL — into the
-    /// exact event sequence a single-threaded traced run emits, plus
-    /// aggregate ring telemetry (counters summed, peak occupancy
-    /// maxed). `None` if [`ShardedWorld::install_ring_sinks`] was never
-    /// called.
-    pub fn finish_ring_sinks(&mut self) -> Option<(Vec<TraceEvent>, RingStats)> {
-        let (frames, agg) = self.finish_ring_frames()?;
-        Some((merge_keyed_events(frames), agg))
-    }
-
     /// Install one ring pipeline per shard draining into a
     /// [`wmsn_trace::CaptureSink`] that streams the shard's frames to a
     /// segmented capture file `shard-<i>.wcap` under `dir` — the
@@ -557,7 +548,8 @@ impl ShardedWorld {
     /// same per-shard SPSC discipline, but frames land on disk (encoded
     /// and written on the drain thread) instead of accumulating in
     /// memory. Returns the per-shard capture paths, in shard order;
-    /// merge them after the run with `wmsn_trace::merge_captures_with`.
+    /// merge them after the run by passing a `wmsn_trace::CaptureCursor`
+    /// per path to [`merge_in_execution_order`].
     pub fn install_capture_sinks(
         &mut self,
         cfg: RingConfig,
@@ -598,12 +590,7 @@ impl ShardedWorld {
                 c.finalize()
             })?;
             let shard_cap = shard_cap?;
-            agg.frames_written += s.frames_written;
-            agg.frames_dropped += s.frames_dropped;
-            agg.blocked_us += s.blocked_us;
-            agg.peak_chunks = agg.peak_chunks.max(s.peak_chunks);
-            agg.capacity_chunks = s.capacity_chunks;
-            agg.chunk_frames = s.chunk_frames;
+            agg.absorb(s);
             cap.frames += shard_cap.frames;
             cap.segments += shard_cap.segments;
             cap.bytes += shard_cap.bytes;
@@ -613,12 +600,14 @@ impl ShardedWorld {
         Some((agg, cap))
     }
 
-    /// Like [`ShardedWorld::finish_ring_sinks`], but hand back the raw
-    /// per-shard `(at, key, event)` captures without merging. Callers
-    /// that only need one ordered pass over the merged stream — feeding
-    /// a detector bank, serialising to a file — should pass these to
-    /// `wmsn_trace::merge_keyed_events_with` instead of materialising
-    /// the merged `Vec` (a gigabyte of fresh pages at n=100k).
+    /// Stop the per-shard ring pipelines and hand back each shard's
+    /// `(at, key, event)` frames, in its execution order, plus aggregate
+    /// ring telemetry ([`RingStats::absorb`]). Pass the streams to
+    /// [`merge_in_execution_order`] for one ordered pass over the merged
+    /// run — feeding a detector bank, rendering JSONL — without
+    /// materialising the merged `Vec` (a gigabyte of fresh pages at
+    /// n=100k). `None` if [`ShardedWorld::install_ring_sinks`] was
+    /// never called.
     #[allow(clippy::type_complexity)]
     pub fn finish_ring_frames(&mut self) -> Option<(Vec<Vec<(u64, u64, TraceEvent)>>, RingStats)> {
         let mut shard_frames = Vec::with_capacity(self.shards.len());
@@ -634,13 +623,7 @@ impl ShardedWorld {
             let entries = ring
                 .with_sink_mut::<FrameBufferSink, _>(|b| std::mem::take(&mut b.entries))
                 .expect("ring drains into FrameBufferSink");
-            let s = ring.stats();
-            agg.frames_written += s.frames_written;
-            agg.frames_dropped += s.frames_dropped;
-            agg.blocked_us += s.blocked_us;
-            agg.peak_chunks = agg.peak_chunks.max(s.peak_chunks);
-            agg.capacity_chunks = s.capacity_chunks;
-            agg.chunk_frames = s.chunk_frames;
+            agg.absorb(ring.stats());
             shard_frames.push(entries);
             // Dropping the sink closes the ring and joins its drain.
         }
@@ -734,16 +717,16 @@ impl ShardedWorld {
             ledgers.push(
                 m.deliveries
                     .iter()
-                    .cloned()
-                    .zip(m.delivery_keys.iter().copied())
-                    .collect::<Vec<_>>(),
+                    .zip(&m.delivery_keys)
+                    .map(|(d, &key)| (d.delivered_at, key, d.clone()))
+                    .collect::<Vec<_>>()
+                    .into_iter(),
             );
         }
-        merge_in_execution_order(
-            ledgers,
-            |(d, key)| (d.delivered_at, *key),
-            |(d, key)| out.record_delivery_keyed(d, key),
-        );
+        merge_in_execution_order(&mut ledgers, |(_, key, d)| {
+            out.record_delivery_keyed(d, key)
+        })
+        .expect("in-memory streams cannot fail");
         out.snapshots = self.snapshots.clone();
         out
     }

@@ -1,21 +1,18 @@
 //! Disk-backed segmented trace captures with a block index.
 //!
-//! The flat binary capture (see [`crate::frame`]) is just header +
-//! frames: reading *anything* out of it means decoding every frame, and
-//! the only practical consumer pattern at n=100k scale —
-//! [`crate::frame::read_binary_trace`] — materialises tens of millions
-//! of events in memory. This module is the scale-ready form: the same
-//! 64-byte frames, grouped into fixed-size **segments**, with a
-//! per-segment index entry and a footer that lets a reader seek — so
-//! queries run in O(one segment) memory and skip whole segments the
-//! index proves irrelevant.
+//! A `.wcap` capture stores the 64-byte frames of [`crate::frame`],
+//! grouped into fixed-size **segments**, with a per-segment index entry
+//! and a footer that lets a reader seek — so queries run in O(one
+//! segment) memory and skip whole segments the index proves
+//! irrelevant. It is the one binary trace format; JSONL is the other,
+//! human-facing one.
 //!
 //! # File layout (version 2, little-endian)
 //!
 //! ```text
 //! header    16 B  CAPTURE_MAGIC (8) · version u32 · frame_len u32
-//! segment   N×64 B back-to-back frames (frame codec identical to the
-//!                 flat capture — PR 7's encode/decode is reused as-is)
+//! segment   N×64 B back-to-back frames ([`encode_frame`] /
+//!                 [`decode_frame`])
 //! ...             (last segment may hold fewer than segment_frames)
 //! extension       optional (absent iff trailer ext_offset == 0):
 //!                   EXT_MAGIC (8) · checkpoints u32 · alerts_len u32
@@ -85,8 +82,7 @@ use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use wmsn_util::NodeId;
 
-/// Magic bytes opening a segmented trace capture (`S` = segmented; the
-/// flat capture uses `WMSNTRB\0`).
+/// Magic bytes opening a segmented trace capture (`S` = segmented).
 pub const CAPTURE_MAGIC: [u8; 8] = *b"WMSNTRS\0";
 /// Magic bytes closing the capture trailer.
 pub const TRAILER_MAGIC: [u8; 8] = *b"WMSNTRF\0";
@@ -99,8 +95,7 @@ pub const CAPTURE_VERSION: u32 = 2;
 /// Sentinel `offset` of a compacted segment's directory entry: the
 /// index entry is intact but the frame data has been removed.
 pub const COMPACTED_OFFSET: u64 = u64::MAX;
-/// Size of the capture header, bytes (same shape as the flat capture:
-/// magic, version, frame length).
+/// Size of the capture header, bytes (magic, version, frame length).
 pub const CAPTURE_HEADER_LEN: usize = 16;
 /// Size of one segment-directory entry, bytes.
 pub const SEGMENT_ENTRY_LEN: usize = 128;
@@ -1101,28 +1096,24 @@ pub fn capture_energy_of<R: Read + Seek>(
 
 // ------------------------------------------------------------- merge --
 
-/// Pull-style frame cursor over a capture, for k-way merging of
-/// per-shard captures. Yields frames in capture order — the shard's
-/// execution order, which the merge needs as it is (see
-/// [`crate::sink::merge_in_execution_order`]).
+/// Pull-style frame cursor over a capture: one per shard in a k-way
+/// merge ([`crate::merge_in_execution_order`]). Yields `(at, key,
+/// event)` frames in capture order — the shard's execution order, which
+/// the merge needs as it is.
 ///
 /// A shard's event loop is time-ordered, so its capture stream is
-/// `at`-monotone by construction (a regression is a hard error — the
-/// file is not a shard capture, and it surfaces as soon as the cursor
-/// reads the run before it). Within one `at` microsecond a zero-delay
-/// event keyed below its scheduler follows it, so keys may step down
-/// there. The cursor reads one equal-`at` run ahead; memory is one
-/// segment plus that run.
+/// `at`-monotone by construction; a regression is a hard error (the
+/// file is not a shard capture), raised when the cursor reads the
+/// regressing frame. Within one `at` microsecond a zero-delay event
+/// keyed below its scheduler follows it, so keys may step down there.
+/// The cursor reads one frame ahead, so memory is one segment.
 #[derive(Debug)]
 pub struct CaptureCursor<R: Read + Seek> {
     reader: CaptureReader<R>,
     seg_idx: usize,
     frame_idx: usize,
-    /// The current equal-`at` run; front is the next frame.
-    run: std::collections::VecDeque<(TraceEvent, u64, u64)>,
-    /// First frame of the *next* run, read while delimiting this one.
-    pending: Option<(TraceEvent, u64, u64)>,
-    last_at: Option<u64>,
+    /// The next frame, read ahead so its stamp is visible.
+    next: Option<(u64, u64, TraceEvent)>,
 }
 
 impl CaptureCursor<BufReader<File>> {
@@ -1139,11 +1130,9 @@ impl<R: Read + Seek> CaptureCursor<R> {
             reader,
             seg_idx: 0,
             frame_idx: 0,
-            run: std::collections::VecDeque::new(),
-            pending: None,
-            last_at: None,
+            next: None,
         };
-        c.refill()?;
+        c.next = c.read_after(None)?;
         Ok(c)
     }
 
@@ -1152,106 +1141,45 @@ impl<R: Read + Seek> CaptureCursor<R> {
         self.reader.frames_dropped()
     }
 
-    /// Next frame in raw capture order, enforcing `at` monotonicity.
-    fn raw_next(&mut self) -> Result<Option<(TraceEvent, u64, u64)>, String> {
-        loop {
-            if self.seg_idx >= self.reader.segments().len() {
-                return Ok(None);
-            }
-            let frames = self.reader.segments()[self.seg_idx].frames as usize;
-            if self.frame_idx == 0 {
-                self.reader.load_segment(self.seg_idx)?;
-            }
-            if self.frame_idx < frames {
-                let decoded = self.reader.decode_loaded(self.seg_idx, self.frame_idx)?;
-                self.frame_idx += 1;
-                if self.last_at.is_some_and(|a| decoded.1 < a) {
+    /// Read the frame after one stamped `prev_at`, failing if its `at`
+    /// is earlier.
+    fn read_after(
+        &mut self,
+        prev_at: Option<u64>,
+    ) -> Result<Option<(u64, u64, TraceEvent)>, String> {
+        while let Some(m) = self.reader.segments().get(self.seg_idx) {
+            if self.frame_idx < m.frames as usize {
+                if self.frame_idx == 0 {
+                    self.reader.load_segment(self.seg_idx)?;
+                }
+                let (ev, at, key) = self.reader.decode_loaded(self.seg_idx, self.frame_idx)?;
+                if prev_at.is_some_and(|p| at < p) {
                     return Err(format!(
                         "capture `at` not monotone at segment {} frame {}",
-                        self.seg_idx,
-                        self.frame_idx - 1
+                        self.seg_idx, self.frame_idx
                     ));
                 }
-                self.last_at = Some(decoded.1);
-                return Ok(Some(decoded));
+                self.frame_idx += 1;
+                return Ok(Some((at, key, ev)));
             }
             self.seg_idx += 1;
             self.frame_idx = 0;
         }
-    }
-
-    /// Load the next equal-`at` run (no-op if one is already buffered).
-    /// Maintains the invariant that `run` is non-empty unless the
-    /// capture is exhausted.
-    fn refill(&mut self) -> Result<(), String> {
-        if !self.run.is_empty() {
-            return Ok(());
-        }
-        let first = match self.pending.take() {
-            Some(f) => f,
-            None => match self.raw_next()? {
-                Some(f) => f,
-                None => return Ok(()),
-            },
-        };
-        let at = first.1;
-        let mut run = vec![first];
-        loop {
-            match self.raw_next()? {
-                Some(f) if f.1 == at => run.push(f),
-                Some(f) => {
-                    self.pending = Some(f);
-                    break;
-                }
-                None => break,
-            }
-        }
-        self.run = run.into();
-        Ok(())
-    }
-
-    /// The `(at, key)` of the next frame, if any (no I/O).
-    pub fn peek_pos(&self) -> Option<(u64, u64)> {
-        self.run.front().map(|&(_, at, key)| (at, key))
-    }
-
-    /// Consume and return the next frame; `Ok(None)` at end of capture.
-    #[allow(clippy::type_complexity)]
-    pub fn advance(&mut self) -> Result<Option<(TraceEvent, u64, u64)>, String> {
-        let cur = self.run.pop_front();
-        if cur.is_some() {
-            self.refill()?;
-        }
-        Ok(cur)
+        Ok(None)
     }
 }
 
-/// K-way merge of per-shard capture files into the reference emission
-/// order — the disk-backed twin of
-/// [`crate::ring::merge_keyed_events_with`], with the same head-merge
-/// rule ([`crate::sink::merge_in_execution_order`]). Memory is one
-/// segment plus one equal-`at` run per shard. Returns the merged frame
-/// count.
-pub fn merge_captures_with<R: Read + Seek, F: FnMut(&TraceEvent)>(
-    cursors: &mut [CaptureCursor<R>],
-    mut f: F,
-) -> Result<u64, String> {
-    let mut merged = 0u64;
-    loop {
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (i, c) in cursors.iter().enumerate() {
-            if let Some((at, key)) = c.peek_pos() {
-                if best.is_none_or(|(ba, bk, _)| (at, key) < (ba, bk)) {
-                    best = Some((at, key, i));
-                }
-            }
-        }
-        let Some((_, _, i)) = best else {
-            return Ok(merged);
+impl<R: Read + Seek> crate::sink::StampedStream for CaptureCursor<R> {
+    type Item = (u64, u64, TraceEvent);
+    fn peek_stamp(&self) -> Option<(u64, u64)> {
+        self.next.map(|(at, key, _)| (at, key))
+    }
+    fn next_stamped(&mut self) -> Result<Option<Self::Item>, String> {
+        let Some(cur) = self.next.take() else {
+            return Ok(None);
         };
-        let (ev, _, _) = cursors[i].advance()?.expect("peeked frame exists");
-        f(&ev);
-        merged += 1;
+        self.next = self.read_after(Some(cur.0))?;
+        Ok(Some(cur))
     }
 }
 
@@ -1260,7 +1188,7 @@ mod tests {
     use super::*;
     use crate::frame::tests::exhaustive_events;
     use crate::replay::Replay;
-    use crate::ring::merge_keyed_events;
+    use crate::sink::{merge_in_execution_order, StampedStream};
     use std::io::Cursor;
 
     /// A deterministic mixed stream: several copies of the exhaustive
@@ -1302,7 +1230,6 @@ mod tests {
         assert_eq!(stats.bytes, bytes.len() as u64);
         assert_eq!(stats.frames_dropped, 5);
         assert!(is_segmented_capture(&bytes));
-        assert!(!crate::frame::is_binary_capture(&bytes));
 
         let mut r = CaptureReader::new(Cursor::new(bytes)).expect("open");
         assert_eq!(r.frames(), frames.len() as u64);
@@ -1520,6 +1447,32 @@ mod tests {
         }
     }
 
+    /// Merge in-memory `(at, key, event)` streams — the reference the
+    /// capture cursors must reproduce.
+    fn merge_in_memory(shards: &[&Vec<(TraceEvent, u64, u64)>]) -> Vec<TraceEvent> {
+        let mut streams: Vec<_> = shards
+            .iter()
+            .map(|s| {
+                s.iter()
+                    .map(|&(ev, at, key)| (at, key, ev))
+                    .collect::<Vec<_>>()
+                    .into_iter()
+            })
+            .collect();
+        let mut out = Vec::new();
+        merge_in_execution_order(&mut streams, |(_, _, ev)| out.push(ev)).expect("in memory");
+        out
+    }
+
+    fn cursor(
+        frames: &[(TraceEvent, u64, u64)],
+        segment_frames: usize,
+    ) -> CaptureCursor<Cursor<Vec<u8>>> {
+        let r =
+            CaptureReader::new(Cursor::new(write_capture(frames, segment_frames))).expect("open");
+        CaptureCursor::new(r).expect("cursor")
+    }
+
     #[test]
     fn cursor_merge_matches_in_memory_merge() {
         // Split a causally-stamped stream across two "shards" by node
@@ -1527,52 +1480,64 @@ mod tests {
         // check the disk merge equals the in-memory reference merge.
         let frames = stream(3);
         let (a, b): (Vec<_>, Vec<_>) = frames.iter().copied().partition(|(_, _, key)| key & 1 == 0);
-        let shards: Vec<Vec<(u64, u64, TraceEvent)>> = [&a, &b]
-            .iter()
-            .map(|s| s.iter().map(|&(ev, at, key)| (at, key, ev)).collect())
-            .collect();
-        let want = merge_keyed_events(shards);
+        let want = merge_in_memory(&[&a, &b]);
 
-        let mut cursors: Vec<CaptureCursor<Cursor<Vec<u8>>>> = [&a, &b]
-            .iter()
-            .map(|s| {
-                CaptureCursor::new(
-                    CaptureReader::new(Cursor::new(write_capture(s, 4))).expect("open"),
-                )
-                .expect("cursor")
-            })
-            .collect();
+        let mut cursors = [cursor(&a, 4), cursor(&b, 4)];
         let mut got = Vec::new();
-        let n = merge_captures_with(&mut cursors, |ev| got.push(*ev)).expect("merge");
+        let n = merge_in_execution_order(&mut cursors, |(_, _, ev)| got.push(ev)).expect("merge");
         assert_eq!(n as usize, want.len());
         assert_eq!(got, want);
     }
 
     #[test]
     fn cursor_rejects_unsorted_captures() {
-        let frames = vec![
-            (
-                TraceEvent::Rx {
-                    t: 9,
-                    seq: 0,
-                    node: NodeId(1),
-                },
-                9,
-                0,
-            ),
-            (
-                TraceEvent::Rx {
-                    t: 3,
-                    seq: 1,
-                    node: NodeId(1),
-                },
-                3,
-                0,
-            ),
-        ];
-        let r = CaptureReader::new(Cursor::new(write_capture(&frames, 8))).expect("open");
-        let err = CaptureCursor::new(r).unwrap_err();
-        assert!(err.contains("`at` not monotone"), "{err}");
+        let rx = |t: u64, seq: u64| TraceEvent::Rx {
+            t,
+            seq,
+            node: NodeId(1),
+        };
+        let frames = vec![(rx(9, 0), 9, 0), (rx(3, 1), 3, 0)];
+        let mut c = cursor(&frames, 8);
+        // The one-frame lookahead reads the regressing frame while
+        // yielding its predecessor.
+        let err = c.next_stamped().unwrap_err();
+        assert!(
+            err.contains("`at` not monotone at segment 0 frame 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn corrupt_frame_tags_are_errors_naming_segment_and_frame() {
+        let frames = stream(2);
+        let mut bytes = write_capture(&frames, 8);
+        // Frame 3 of segment 1: the index stays intact, the frame does not.
+        let victim = 8 + 3;
+        bytes[CAPTURE_HEADER_LEN + victim * FRAME_LEN + 16] = 200;
+        let want = "segment 1 frame 3: unknown frame tag 200";
+
+        let mut r = CaptureReader::new(Cursor::new(bytes.clone())).expect("index intact");
+        let mut scanned = 0;
+        let err = r
+            .scan(&ScanFilter::all(), |_, _, _| scanned += 1)
+            .unwrap_err();
+        assert_eq!(err, want);
+        assert_eq!(scanned, victim);
+
+        let mut c = CaptureCursor::new(CaptureReader::new(Cursor::new(bytes)).expect("open"))
+            .expect("cursor");
+        let mut yielded = 0;
+        let err = loop {
+            match c.next_stamped() {
+                Ok(Some(_)) => yielded += 1,
+                Ok(None) => panic!("the corrupt frame went unnoticed"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err, want);
+        // The lookahead reads the corrupt frame while yielding its
+        // predecessor.
+        assert_eq!(yielded, victim - 1);
     }
 
     #[test]
@@ -1581,7 +1546,7 @@ mod tests {
         // right after it, so a shard capture can step down in key inside
         // an equal-`at` run. The cursor must yield such runs as captured,
         // and the k-way merge must keep the late event after its cause
-        // (an `at` regression stays a hard error, previous test).
+        // (an `at` regression stays a hard error, previous tests).
         let rx = |t: u64, seq: u64| TraceEvent::Rx {
             t,
             seq,
@@ -1596,26 +1561,17 @@ mod tests {
         ];
         // Shard B: key 4 ran before A's key 9, key 11 after A's burst.
         let b = vec![(rx(5, 4), 5, 4), (rx(5, 5), 5, 11)];
-        let cursor = |frames: &[(TraceEvent, u64, u64)]| {
-            let r = CaptureReader::new(Cursor::new(write_capture(frames, 2))).expect("open");
-            CaptureCursor::new(r).expect("cursor")
-        };
-        let mut c = cursor(&a);
+        let mut c = cursor(&a, 2);
         let mut got = Vec::new();
-        while let Some(f) = c.advance().expect("advance") {
-            got.push(f);
+        while let Some((at, key, ev)) = c.next_stamped().expect("next frame") {
+            got.push((ev, at, key));
         }
         assert_eq!(got, a, "cursor yields capture order");
 
-        let in_memory = merge_keyed_events(
-            [&a, &b]
-                .iter()
-                .map(|s| s.iter().map(|&(ev, at, key)| (at, key, ev)).collect())
-                .collect(),
-        );
-        let mut cursors = [cursor(&a), cursor(&b)];
+        let in_memory = merge_in_memory(&[&a, &b]);
+        let mut cursors = [cursor(&a, 2), cursor(&b, 2)];
         let mut merged = Vec::new();
-        merge_captures_with(&mut cursors, |ev| merged.push(*ev)).expect("merge");
+        merge_in_execution_order(&mut cursors, |(_, _, ev)| merged.push(ev)).expect("merge");
         assert_eq!(merged, in_memory);
         let seqs = |evs: &[TraceEvent]| -> Vec<u64> {
             evs.iter()

@@ -8,7 +8,7 @@
 //! plus its causal `(at, key)` into a local chunk, and hands full chunks
 //! to a drain thread through a bounded [`SpscRing`]. The drain thread
 //! replays each frame into the *downstream* sinks (a `JsonlSink`, a
-//! [`crate::frame::BinarySink`], the `HealthMonitor` detector bank, …)
+//! [`crate::CaptureSink`], the `HealthMonitor` detector bank, …)
 //! exactly as the world would have — same events, same `(at, key)`s,
 //! same order — which is why the drained output is byte-identical to
 //! inline mode.
@@ -112,6 +112,20 @@ pub struct RingStats {
     pub capacity_chunks: usize,
     /// Configured chunk size, frames.
     pub chunk_frames: usize,
+}
+
+impl RingStats {
+    /// Fold another pipeline's telemetry into this aggregate (one ring
+    /// per shard, or one per run): counters summed, peak occupancy
+    /// maxed, configuration taken from `other`.
+    pub fn absorb(&mut self, other: RingStats) {
+        self.frames_written += other.frames_written;
+        self.frames_dropped += other.frames_dropped;
+        self.blocked_us += other.blocked_us;
+        self.peak_chunks = self.peak_chunks.max(other.peak_chunks);
+        self.capacity_chunks = other.capacity_chunks;
+        self.chunk_frames = other.chunk_frames;
+    }
 }
 
 /// Frames-produced / frames-consumed ledger behind the flush barrier.
@@ -313,11 +327,10 @@ impl TraceSink for RingSink {
     }
 }
 
-/// In-memory frame sink: retains `(at, key, event)` triples. The
-/// ring-pipeline analogue of [`crate::KeyedBufferSink`] — one per shard
-/// ring; [`merge_keyed_events`] interleaves the shards back into
-/// reference emission order without ever rendering JSON on a sim
-/// thread.
+/// In-memory frame sink: retains `(at, key, event)` triples. One per
+/// shard; [`crate::merge_in_execution_order`] interleaves the shards
+/// back into reference emission order without ever rendering JSON on a
+/// sim thread.
 #[derive(Default, Debug)]
 pub struct FrameBufferSink {
     /// Captured frames in arrival order.
@@ -344,30 +357,6 @@ impl TraceSink for FrameBufferSink {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-/// Merge per-shard frame captures into one event sequence in the
-/// unsharded run's emission order — the order
-/// [`crate::merge_keyed_traces`] gives JSONL lines (see
-/// [`crate::sink::merge_in_execution_order`]). A linear k-way merge, with
-/// no comparison sort over the full stream — which matters at the
-/// 10⁷-frame scale of the n=100k monitored round.
-pub fn merge_keyed_events(shards: Vec<Vec<(u64, u64, TraceEvent)>>) -> Vec<TraceEvent> {
-    let mut out = Vec::with_capacity(shards.iter().map(Vec::len).sum());
-    merge_keyed_events_with(shards, |ev| out.push(*ev));
-    out
-}
-
-/// Streaming form of [`merge_keyed_events`]: visit each event in the
-/// merged order without materialising the merged sequence. At the
-/// n=100k scale the merged `Vec` is a gigabyte of fresh pages, so a
-/// consumer that only needs one ordered pass (the health monitor, a
-/// serialising sink) should take this entry point.
-pub fn merge_keyed_events_with<F: FnMut(&TraceEvent)>(
-    shards: Vec<Vec<(u64, u64, TraceEvent)>>,
-    mut f: F,
-) {
-    crate::sink::merge_in_execution_order(shards, |&(at, key, _)| (at, key), |(_, _, ev)| f(&ev));
 }
 
 #[cfg(test)]
@@ -473,38 +462,22 @@ mod tests {
 
     #[test]
     fn drop_newest_accounting_is_exact_and_drained_stream_is_a_prefix() {
-        use crate::frame::{read_binary_trace, BinarySink, FRAME_LEN, HEADER_LEN};
         use std::sync::{Arc, Condvar, Mutex};
 
-        /// `Write` into a shared buffer the test can read after the
-        /// drain thread is gone.
-        #[derive(Clone)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        /// Gate in front of a binary sink: blocks the drain thread on
+        /// Gate in front of a frame buffer: blocks the drain thread on
         /// the very first frame until the producer releases it, so the
         /// producer can fill the ring to a *known* state and every
         /// subsequent chunk is deterministically dropped.
         struct GateSink {
-            inner: BinarySink<SharedBuf>,
+            inner: FrameBufferSink,
             gate: Arc<(Mutex<(bool, bool)>, Condvar)>, // (started, released)
-            seen: u64,
         }
         impl TraceSink for GateSink {
             fn record(&mut self, ev: &TraceEvent) {
                 self.record_keyed(ev, ev.t(), 0);
             }
             fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
-                if self.seen == 0 {
+                if self.inner.entries.is_empty() {
                     let (lock, cv) = &*self.gate;
                     let mut g = lock.lock().unwrap();
                     g.0 = true;
@@ -513,7 +486,6 @@ mod tests {
                         g = cv.wait(g).unwrap();
                     }
                 }
-                self.seen += 1;
                 self.inner.record_keyed(ev, at, key);
             }
             fn as_any(&self) -> &dyn Any {
@@ -527,7 +499,6 @@ mod tests {
         const CHUNK: usize = 4;
         const CAPACITY: usize = 2;
         const TOTAL: u64 = 40; // 10 full chunks
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
         let gate = Arc::new((Mutex::new((false, false)), Condvar::new()));
         let mut ring = RingSink::new(
             RingConfig {
@@ -536,12 +507,11 @@ mod tests {
                 policy: BackpressurePolicy::DropNewest,
             },
             vec![Box::new(GateSink {
-                inner: BinarySink::new(buf.clone()),
+                inner: FrameBufferSink::new(),
                 gate: Arc::clone(&gate),
-                seen: 0,
             })],
         );
-        let mut inline = BinarySink::new(Vec::<u8>::new());
+        let mut inline = FrameBufferSink::new();
         for i in 0..TOTAL {
             let e = ev(i, (i % 3) as u32);
             inline.record_keyed(&e, i, i << 2);
@@ -563,7 +533,7 @@ mod tests {
             lock.lock().unwrap().1 = true;
             cv.notify_all();
         }
-        let (_, stats) = ring.finish();
+        let (bank, stats) = ring.finish();
 
         // Exact accounting: chunk 1 drained, chunks 2..=3 buffered,
         // chunks 4..=10 refused.
@@ -572,31 +542,37 @@ mod tests {
         assert_eq!(stats.frames_dropped, TOTAL - accepted);
         assert_eq!(stats.blocked_us, 0, "DropNewest must never block");
 
-        // The drained capture is a decodable prefix of the inline
-        // reference: same header, same first `accepted` frames.
-        let drained = buf.0.lock().unwrap().clone();
-        let reference = inline.into_inner();
-        assert_eq!(drained.len(), HEADER_LEN + accepted as usize * FRAME_LEN);
-        assert_eq!(drained[..], reference[..drained.len()]);
-        let events = read_binary_trace(&drained[..]).expect("prefix decodes");
-        let full = read_binary_trace(&reference[..]).expect("reference decodes");
-        assert_eq!(events[..], full[..accepted as usize]);
+        // The drained stream is a prefix of the inline reference: the
+        // first `accepted` frames, stamps included.
+        let drained = &bank[0]
+            .as_any()
+            .downcast_ref::<GateSink>()
+            .expect("GateSink")
+            .inner
+            .entries;
+        assert_eq!(drained.len(), accepted as usize);
+        assert_eq!(drained[..], inline.entries[..accepted as usize]);
     }
 
     #[test]
-    fn merge_keyed_events_restores_total_order() {
-        let shard_a = vec![(1, 10, ev(1, 0)), (3, 5, ev(3, 0)), (3, 9, ev(3, 0))];
-        let shard_b = vec![(1, 2, ev(1, 1)), (3, 7, ev(3, 1)), (4, 1, ev(4, 1))];
-        let merged = merge_keyed_events(vec![shard_a, shard_b]);
-        let ts: Vec<u64> = merged.iter().map(|e| e.t()).collect();
-        assert_eq!(ts, vec![1, 1, 3, 3, 3, 4]);
-        // (at=1,key=2) from shard B must precede (at=1,key=10) from A.
-        assert!(matches!(
-            merged[0],
-            TraceEvent::Rx {
-                node: NodeId(1),
-                ..
-            }
-        ));
+    fn absorb_sums_counters_and_maxes_the_peak() {
+        let stats = |written, dropped, blocked_us, peak_chunks| RingStats {
+            frames_written: written,
+            frames_dropped: dropped,
+            blocked_us,
+            peak_chunks,
+            capacity_chunks: 8,
+            chunk_frames: 16,
+        };
+        let mut agg = RingStats::default();
+        agg.absorb(stats(10, 1, 5, 3));
+        agg.absorb(stats(7, 0, 2, 6));
+        agg.absorb(stats(1, 2, 0, 4));
+        assert_eq!(
+            (agg.frames_written, agg.frames_dropped, agg.blocked_us),
+            (18, 3, 7)
+        );
+        assert_eq!(agg.peak_chunks, 6);
+        assert_eq!((agg.capacity_chunks, agg.chunk_frames), (8, 16));
     }
 }

@@ -23,8 +23,8 @@ pub trait TraceSink {
     /// key)` of the simulation event (or driver call) that emitted it.
     /// `(at, key)` pairs are unique per emitting event and totally
     /// ordered across an entire run, so sinks that retain them (see
-    /// [`KeyedBufferSink`]) can merge per-shard streams back into the
-    /// exact single-threaded emission order. The default forwards to
+    /// [`crate::FrameBufferSink`]) can merge per-shard streams back into
+    /// the exact single-threaded emission order. The default forwards to
     /// [`TraceSink::record`]; order-insensitive sinks need nothing more.
     fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
         let _ = (at, key);
@@ -130,45 +130,33 @@ impl TraceSink for BufferSink {
     }
 }
 
-/// In-memory JSONL sink that also retains each line's causal position
-/// `(at, key)` — the per-shard capture half of deterministic trace
-/// merging. One sink is installed per shard; afterwards
-/// [`merge_keyed_traces`] interleaves the shards' lines back into the
-/// byte-exact stream a single [`BufferSink`] over the unsharded run
-/// would have produced.
-#[derive(Default, Debug)]
-pub struct KeyedBufferSink {
-    /// Captured lines as `(at, key, json_line)` in emission order.
-    pub entries: Vec<(u64, u64, String)>,
+/// One per-shard stream, in its shard's execution order, with its next
+/// item's `(at, key)` stamp visible: the input of
+/// [`merge_in_execution_order`]. In-memory `(at, key, item)` vectors
+/// and on-disk [`crate::CaptureCursor`]s both implement it.
+pub trait StampedStream {
+    /// What the stream yields.
+    type Item;
+    /// The `(at, key)` stamp of the next item; `None` once exhausted.
+    fn peek_stamp(&self) -> Option<(u64, u64)>;
+    /// Take the next item (`Ok(None)` once exhausted).
+    fn next_stamped(&mut self) -> Result<Option<Self::Item>, String>;
 }
 
-impl KeyedBufferSink {
-    /// An empty keyed buffer sink.
-    pub fn new() -> Self {
-        Self::default()
+impl<T> StampedStream for std::vec::IntoIter<(u64, u64, T)> {
+    type Item = (u64, u64, T);
+    fn peek_stamp(&self) -> Option<(u64, u64)> {
+        self.as_slice().first().map(|&(at, key, _)| (at, key))
     }
-}
-
-impl TraceSink for KeyedBufferSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        // Keyless recording falls back to the event's own timestamp;
-        // only exercised by sinks driven outside a keyed world.
-        self.entries.push((ev.t(), 0, ev.to_json().to_string()));
-    }
-    fn record_keyed(&mut self, ev: &TraceEvent, at: u64, key: u64) {
-        self.entries.push((at, key, ev.to_json().to_string()));
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn next_stamped(&mut self) -> Result<Option<Self::Item>, String> {
+        Ok(self.next())
     }
 }
 
 /// Interleave per-shard streams, each in its shard's execution order,
 /// into the order the single-threaded reference executes them: take the
-/// head with the least `(at, key)` stamp, again and again.
+/// head with the least `(at, key)` stamp, again and again. Returns the
+/// number of items merged; the first stream error stops the merge.
 ///
 /// The streams are merged as they are, never re-sorted. A zero-delay
 /// event keyed below the event that scheduled it (an SPR re-flood
@@ -179,45 +167,26 @@ impl TraceSink for KeyedBufferSink {
 /// sort by stamp would hoist it ahead of its own cause. Equal stamps
 /// never span streams (a key's node runs on one shard), so the first
 /// minimal head is the only one.
-pub fn merge_in_execution_order<T>(
-    streams: Vec<Vec<T>>,
-    stamp: impl Fn(&T) -> (u64, u64),
-    mut f: impl FnMut(T),
-) {
-    let mut heads: Vec<_> = streams
-        .into_iter()
-        .map(|s| s.into_iter().peekable())
-        .collect();
+pub fn merge_in_execution_order<S: StampedStream>(
+    streams: &mut [S],
+    mut f: impl FnMut(S::Item),
+) -> Result<u64, String> {
+    let mut merged = 0u64;
     loop {
         let mut best: Option<((u64, u64), usize)> = None;
-        for (i, h) in heads.iter_mut().enumerate() {
-            if let Some(x) = h.peek() {
-                let at_key = stamp(x);
+        for (i, s) in streams.iter().enumerate() {
+            if let Some(at_key) = s.peek_stamp() {
                 if best.is_none_or(|(b, _)| at_key < b) {
                     best = Some((at_key, i));
                 }
             }
         }
         let Some((_, i)) = best else {
-            return;
+            return Ok(merged);
         };
-        f(heads[i].next().expect("peeked head"));
+        f(streams[i].next_stamped()?.expect("peeked head"));
+        merged += 1;
     }
-}
-
-/// Merge per-shard keyed trace captures into one JSONL string in the
-/// reference run's order (see [`merge_in_execution_order`]).
-pub fn merge_keyed_traces(shards: Vec<KeyedBufferSink>) -> String {
-    let mut out = String::new();
-    merge_in_execution_order(
-        shards.into_iter().map(|s| s.entries).collect(),
-        |&(at, key, _)| (at, key),
-        |(_, _, line)| {
-            out.push_str(&line);
-            out.push('\n');
-        },
-    );
-    out
 }
 
 /// Tallying sink: counts events by variant name and drops by cause.
@@ -310,5 +279,31 @@ mod tests {
         assert_eq!(c.drops_of("loss"), 2);
         assert_eq!(c.drops_of("collision"), 1);
         assert_eq!(c.drops_of("dead"), 0);
+    }
+
+    #[test]
+    fn merge_in_execution_order_restores_total_order() {
+        let rx = |t: u64, node: u32| TraceEvent::Rx {
+            t,
+            seq: t,
+            node: NodeId(node),
+        };
+        let shard_a = vec![(1, 10, rx(1, 0)), (3, 5, rx(3, 0)), (3, 9, rx(3, 0))];
+        let shard_b = vec![(1, 2, rx(1, 1)), (3, 7, rx(3, 1)), (4, 1, rx(4, 1))];
+        let mut streams = [shard_a.into_iter(), shard_b.into_iter()];
+        let mut merged = Vec::new();
+        let n = merge_in_execution_order(&mut streams, |(_, _, ev)| merged.push(ev))
+            .expect("in-memory streams");
+        assert_eq!(n, 6);
+        let ts: Vec<u64> = merged.iter().map(|e| e.t()).collect();
+        assert_eq!(ts, vec![1, 1, 3, 3, 3, 4]);
+        // (at=1,key=2) from shard B must precede (at=1,key=10) from A.
+        assert!(matches!(
+            merged[0],
+            TraceEvent::Rx {
+                node: NodeId(1),
+                ..
+            }
+        ));
     }
 }

@@ -12,9 +12,10 @@
 //!   events — including the not-found cases;
 //! * the health monitor fed from a segment-at-a-time scan must produce
 //!   an alert stream byte-identical to the inline monitor's;
-//! * the sharded kernel's per-shard capture files, k-way merged with
-//!   `merge_captures_with`, must render to the reference JSONL bytes —
-//!   the same bar the in-memory per-shard ring merge clears.
+//! * the sharded kernel's per-shard capture files, k-way merged by
+//!   `merge_in_execution_order` over `CaptureCursor`s, must render to
+//!   the reference JSONL bytes — the same bar, through the same merge,
+//!   the in-memory per-shard ring frames clear.
 
 use std::path::PathBuf;
 use wmsn::core::builder::{build_spr, SprScenario};
@@ -25,8 +26,8 @@ use wmsn::health::{HealthConfig, HealthMonitor};
 use wmsn::sim::ShardedWorld;
 use wmsn::topology::strip_shards;
 use wmsn::trace::{
-    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of, merge_captures_with,
-    merge_keyed_events, BackpressurePolicy, BufferSink, CaptureConfig, CaptureCursor,
+    capture_counts, capture_drops_of_seq, capture_energy_of, capture_path_of,
+    merge_in_execution_order, BackpressurePolicy, BufferSink, CaptureConfig, CaptureCursor,
     CaptureReader, CaptureSink, FrameBufferSink, Replay, RingConfig, ScanFilter, TraceEvent,
 };
 
@@ -226,7 +227,7 @@ fn sharded_capture_files_merge_to_the_reference_trace_bytes() {
         .map(|p| CaptureCursor::open(p).expect("open shard capture"))
         .collect();
     let mut got = String::new();
-    let merged = merge_captures_with(&mut cursors, |ev| {
+    let merged = merge_in_execution_order(&mut cursors, |(_, _, ev)| {
         got.push_str(&ev.to_json().to_string());
         got.push('\n');
     })
@@ -278,7 +279,9 @@ fn capture_merge_heals_same_at_key_inversions_at_scale() {
         inverted,
         "scenario must exercise the key-inversion healing path"
     );
-    let want = merge_keyed_events(frames);
+    let mut streams: Vec<_> = frames.into_iter().map(Vec::into_iter).collect();
+    let mut want = Vec::new();
+    merge_in_execution_order(&mut streams, |(_, _, ev)| want.push(ev)).expect("in-memory merge");
 
     let dir = scratch("inversions");
     let (mut scen, base, sources) = sharded_e9();
@@ -298,7 +301,7 @@ fn capture_merge_heals_same_at_key_inversions_at_scale() {
         .map(|p| CaptureCursor::open(p).expect("open shard capture"))
         .collect();
     let mut got = Vec::with_capacity(want.len());
-    let merged = merge_captures_with(&mut cursors, |ev| got.push(*ev)).expect("merge");
+    let merged = merge_in_execution_order(&mut cursors, |(_, _, ev)| got.push(ev)).expect("merge");
     assert_eq!(merged, cap.frames);
     assert_eq!(got.len(), want.len());
     assert!(

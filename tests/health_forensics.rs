@@ -156,6 +156,37 @@ fn explain_reads_only_the_alert_window_and_is_mode_independent() {
 }
 
 #[test]
+fn explain_of_an_alert_within_the_first_span_matches_the_full_scan() {
+    // An alert stamped at or before span × window: the report's window
+    // starts at t=0. The capture holds checkpoints inside window 0, and
+    // the windowed replay must not resume from one — the report counts
+    // every frame of its first window, as the genesis replay does.
+    let (path, mut r) = recorded("explain-first-span");
+    let cfg = HealthConfig::default();
+    let alert =
+        HealthAlert::from_json_line(r.alerts_jsonl().lines().next().expect("an embedded alert"))
+            .expect("parse embedded alert");
+    let span = alert.t.div_ceil(cfg.window_us);
+    assert!(alert.t <= span * cfg.window_us);
+    assert!(
+        r.checkpoints()
+            .iter()
+            .any(|(k, _)| *k >= 1 && r.segments()[*k as usize - 1].at_max < cfg.window_us),
+        "the capture must hold a checkpoint inside window 0"
+    );
+    let (fast, fast_stats) = explain_alert(&mut r, alert, span, cfg, false).expect("explain");
+    let (full, _) = explain_alert(&mut r, alert, span, cfg, true).expect("explain full");
+    assert_eq!(
+        fast.report(),
+        full.report(),
+        "explain from t=0 must render identically in both replay modes"
+    );
+    assert!(fast.reproduced);
+    assert_eq!(fast_stats.checkpoint_seg, None);
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn compaction_keeps_the_index_exact_and_fails_frame_reads_loudly() {
     let (path, mut r) = recorded("compact");
     let cfg = HealthConfig::default();
